@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full verification: build + ctest in the plain configuration, then
 # again under ThreadSanitizer (BOLT_SANITIZE=thread) to vet the thread
-# pool and the parallel experiment engine. Finally a Release build runs
+# pool and the parallel experiment engine, and under AddressSanitizer +
+# UndefinedBehaviorSanitizer (BOLT_SANITIZE=address,undefined; any
+# finding aborts the test). Finally a Release build runs
 # the recommender query-path benchmark, which fails if its output
 # digest diverges from the committed golden (bench/BENCH_recommender.golden)
 # and writes throughput/latency numbers to BENCH_recommender.json.
@@ -64,7 +66,7 @@
 # perf_serving sweep byte-for-byte. On hardware without AVX2 the SIMD
 # build falls back to the scalar backend and the gate still holds.
 #
-# Usage: scripts/check.sh [--plain-only|--tsan-only|--obs|--fault|--serve|--scenario [--update]|--telemetry|--fleet [--update]|--armsrace [--update]|--simd|--bench-only]
+# Usage: scripts/check.sh [--plain-only|--tsan-only|--asan-only|--obs|--fault|--serve|--scenario [--update]|--telemetry|--fleet [--update]|--armsrace [--update]|--simd|--bench-only]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -89,6 +91,12 @@ fi
 if [[ "${mode}" == "--tsan-only" || "${mode}" == "all" ]]; then
     # TSan slows execution ~5-15x; the suite still finishes in minutes.
     run_config build-tsan -DBOLT_SANITIZE=thread
+fi
+
+if [[ "${mode}" == "--asan-only" || "${mode}" == "all" ]]; then
+    # ASan (with its leak checker) + UBSan slow execution ~2-3x.
+    UBSAN_OPTIONS=print_stacktrace=1 \
+        run_config build-asan -DBOLT_SANITIZE=address,undefined
 fi
 
 if [[ "${mode}" == "--obs" || "${mode}" == "all" ]]; then

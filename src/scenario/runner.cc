@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <iomanip>
 #include <ostream>
 #include <sstream>

@@ -1,0 +1,127 @@
+#ifndef BOLT_UTIL_MT19937_64_H
+#define BOLT_UTIL_MT19937_64_H
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+
+namespace bolt {
+namespace util {
+
+/**
+ * MT19937-64 with lazily computed first-generation state.
+ *
+ * The output equals std::mt19937_64 word for word, for every seed and
+ * every draw count, so std:: distributions driven by it produce the
+ * same values. Only the cost profile differs: std::mt19937_64 seeds all
+ * 312 state words and twists all of them before the first draw, while
+ * this engine does the work a draw actually needs. Draw p of the first
+ * generation needs seed words 0..min(p + 157, 312) and twists word p
+ * alone, so a short-lived stream that draws a dozen values seeds ~169
+ * words and twists 12. Once the first generation is spent the engine
+ * runs the standard bulk twist.
+ *
+ * Words at and past `seeded_` are never read (not even by a copy), so
+ * the engine is clean under memory sanitizers by construction.
+ */
+class Mt19937_64
+{
+  public:
+    using result_type = uint64_t;
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max()
+    {
+        return std::numeric_limits<result_type>::max();
+    }
+
+    explicit Mt19937_64(uint64_t seed) { mt_[0] = seed; }
+
+    // noexcept keeps the implicit moves of enclosing types noexcept, so
+    // std::vector relocates them instead of deep-copying their members.
+    Mt19937_64(const Mt19937_64& o) noexcept { *this = o; }
+
+    Mt19937_64&
+    operator=(const Mt19937_64& o) noexcept
+    {
+        if (this == &o)
+            return *this;
+        std::copy_n(o.mt_, o.seeded_, mt_);
+        next_ = o.next_;
+        ready_ = o.ready_;
+        seeded_ = o.seeded_;
+        return *this;
+    }
+
+    result_type
+    operator()()
+    {
+        if (next_ >= ready_)
+            refill();
+        uint64_t z = mt_[next_++];
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+        z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+        return z ^ (z >> 43);
+    }
+
+  private:
+    static constexpr size_t kN = 312;
+    static constexpr size_t kM = 156;
+
+    /** Recurrence x[k+n] = x[k+m] ^ A((x[k] & upper) | (x[k+1] & lower)). */
+    static uint64_t
+    twist(uint64_t xk, uint64_t xk1, uint64_t xkm)
+    {
+        uint64_t y = (xk & ~0x7FFFFFFFULL) | (xk1 & 0x7FFFFFFFULL);
+        return xkm ^ (y >> 1) ^ ((y & 1) ? 0xB5026F5AA96619E9ULL : 0);
+    }
+
+    void
+    refill()
+    {
+        if (ready_ == kN) {
+            twistAll();
+            next_ = 0;
+            return;
+        }
+        // First generation: word p is twisted in place exactly as the
+        // bulk twist would, reading seed words p + 1 and p + m (or, past
+        // the middle, the already-twisted word p + m - n).
+        const size_t p = ready_;
+        for (const size_t need = std::min(p + kM + 1, kN); seeded_ < need;
+             ++seeded_) {
+            uint64_t prev = mt_[seeded_ - 1];
+            mt_[seeded_] = 6364136223846793005ULL * (prev ^ (prev >> 62)) +
+                           seeded_;
+        }
+        mt_[p] = twist(mt_[p], mt_[p + 1 == kN ? 0 : p + 1],
+                       mt_[p < kN - kM ? p + kM : p + kM - kN]);
+        ready_ = p + 1;
+    }
+
+    void
+    twistAll()
+    {
+        size_t k = 0;
+        for (; k < kN - kM; ++k)
+            mt_[k] = twist(mt_[k], mt_[k + 1], mt_[k + kM]);
+        for (; k < kN - 1; ++k)
+            mt_[k] = twist(mt_[k], mt_[k + 1], mt_[k + kM - kN]);
+        mt_[kN - 1] = twist(mt_[kN - 1], mt_[0], mt_[kM - 1]);
+    }
+
+    uint64_t mt_[kN];
+    /** Index of the next word to temper and return. */
+    size_t next_ = 0;
+    /** Words [0, ready_) hold the current generation's output. */
+    size_t ready_ = 0;
+    /** Words [0, seeded_) are initialized; the rest are never read. */
+    size_t seeded_ = 1;
+};
+
+} // namespace util
+} // namespace bolt
+
+#endif // BOLT_UTIL_MT19937_64_H

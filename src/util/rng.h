@@ -3,9 +3,10 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <random>
 #include <string_view>
 #include <vector>
+
+#include "util/mt19937_64.h"
 
 namespace bolt {
 namespace util {
@@ -17,6 +18,9 @@ namespace util {
  * All experiment binaries seed a single root Rng and derive independent
  * substreams from it (see substream()), so results are reproducible
  * run-to-run regardless of the order in which components draw numbers.
+ * The engine is Mt19937_64, whose output equals std::mt19937_64 word
+ * for word, so every sampler returns what the same std:: distribution
+ * would return over std::mt19937_64.
  */
 class Rng
 {
@@ -99,11 +103,8 @@ class Rng
         return items[index(items.size())];
     }
 
-    /** Access the underlying engine (for std:: distributions in tests). */
-    std::mt19937_64& engine() { return engine_; }
-
   private:
-    std::mt19937_64 engine_;
+    Mt19937_64 engine_;
     uint64_t seed_;
 };
 

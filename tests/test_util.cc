@@ -1,15 +1,21 @@
 /**
  * @file
  * Unit tests for the util library: RNG determinism and substreams,
+ * bit identity of the MT19937-64 engine and Rng samplers with std::,
  * summary statistics, histograms, online stats, 2-D heatmaps, the
  * ASCII table/series renderers, and the work-stealing thread pool.
  */
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <numeric>
+#include <random>
 #include <sstream>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
+#include "util/mt19937_64.h"
 #include "util/rng.h"
 #include "util/seeds.h"
 #include "util/stats.h"
@@ -134,6 +140,124 @@ TEST(Rng, IndexThrowsOnEmpty)
 {
     Rng rng(1);
     EXPECT_THROW(rng.index(0), std::invalid_argument);
+}
+
+// ------------------------------------------- MT19937-64 bit identity
+//
+// Every golden in the repo depends on Rng producing exactly what
+// std::mt19937_64 (driven through the same std:: distributions) would.
+// These tests use std::mt19937_64 as the oracle.
+
+namespace {
+
+/** Seeds 0, 1, 2^64-1 and 500 Rng::stream-derived seeds. */
+std::vector<uint64_t>
+oracleSeeds()
+{
+    std::vector<uint64_t> seeds = {0, 1, ~uint64_t{0}};
+    for (uint64_t i = 0; i < 500; ++i)
+        seeds.push_back(Rng::stream(0xB17, {i}).seed());
+    return seeds;
+}
+
+} // namespace
+
+TEST(Mt19937_64, RawWordsMatchStdAcrossGenerations)
+{
+    // 1000 draws span the lazily computed first generation and three
+    // bulk twists.
+    for (uint64_t seed : oracleSeeds()) {
+        Mt19937_64 engine(seed);
+        std::mt19937_64 oracle(seed);
+        for (int i = 0; i < 1000; ++i)
+            ASSERT_EQ(engine(), oracle()) << "seed " << seed << " draw " << i;
+    }
+}
+
+TEST(Rng, SamplersMatchStdDistributionsOnOracle)
+{
+    const std::vector<double> weights = {0.5, 0.0, 2.0, 1.25, 0.25};
+    for (uint64_t seed : {uint64_t{0}, uint64_t{42}, ~uint64_t{0}}) {
+        Rng rng(seed);
+        std::mt19937_64 o(seed);
+        auto o_uniform = [&](double lo, double hi) {
+            return std::uniform_real_distribution<double>(lo, hi)(o);
+        };
+        auto o_index = [&](size_t n) {
+            return static_cast<size_t>(std::uniform_int_distribution<int64_t>(
+                0, static_cast<int64_t>(n) - 1)(o));
+        };
+        // Mixed calls, so that samplers consuming one, two or a variable
+        // number of words cross generation boundaries at varying points.
+        for (int i = 0; i < 400; ++i) {
+            ASSERT_EQ(rng.uniform(), o_uniform(0.0, 1.0));
+            ASSERT_EQ(rng.uniform(-3.0, 7.5), o_uniform(-3.0, 7.5));
+            ASSERT_EQ(rng.uniformInt(-5, 1000),
+                      std::uniform_int_distribution<int64_t>(-5, 1000)(o));
+            ASSERT_EQ(rng.gaussian(2.0, 0.5),
+                      std::normal_distribution<double>(2.0, 0.5)(o));
+            double g = std::normal_distribution<double>(50.0, 30.0)(o);
+            ASSERT_EQ(rng.clampedGaussian(50.0, 30.0, 0.0, 100.0),
+                      std::clamp(g, 0.0, 100.0));
+            ASSERT_EQ(rng.bernoulli(0.3), std::bernoulli_distribution(0.3)(o));
+            ASSERT_EQ(rng.exponential(4.0),
+                      std::exponential_distribution<double>(0.25)(o));
+            ASSERT_EQ(
+                rng.lognormal(3.0, 0.4),
+                std::lognormal_distribution<double>(std::log(3.0), 0.4)(o));
+            ASSERT_EQ(rng.index(17), o_index(17));
+
+            double u = o_uniform(0.0, 4.0); // weights sum to 4
+            size_t expect = weights.size() - 1;
+            double acc = 0.0;
+            for (size_t w = 0; w < weights.size(); ++w) {
+                acc += weights[w];
+                if (u < acc) {
+                    expect = w;
+                    break;
+                }
+            }
+            ASSERT_EQ(rng.weightedIndex(weights), expect);
+
+            std::vector<size_t> perm(9);
+            std::iota(perm.begin(), perm.end(), size_t{0});
+            for (size_t n = perm.size(); n > 1; --n)
+                std::swap(perm[n - 1], perm[o_index(n)]);
+            ASSERT_EQ(rng.permutation(9), perm);
+        }
+    }
+}
+
+// Rng is held by value in containers (linalg::SgdScratch); a throwing
+// copy would make std::vector deep-copy its neighbours when it grows.
+static_assert(std::is_nothrow_copy_constructible_v<Rng>);
+static_assert(std::is_nothrow_move_constructible_v<Rng>);
+
+TEST(Rng, CopyMidStreamContinuesLikeOracle)
+{
+    // Copy construction and copy assignment around every lazy-state
+    // boundary: before any draw, inside the seeding frontier, at the
+    // middle of the first generation, and across the first bulk twist.
+    for (int k : {0, 1, 155, 156, 157, 311, 312, 313}) {
+        Rng source(77);
+        std::mt19937_64 oracle(77);
+        std::uniform_real_distribution<double> unit;
+        for (int i = 0; i < k; ++i) {
+            source.uniform();
+            unit(oracle);
+        }
+        Rng constructed = source;
+        Rng assigned(5);
+        for (int i = 0; i < 400; ++i) // overwrite a fully seeded state
+            assigned.uniform();
+        assigned = source;
+        for (int i = 0; i < 700; ++i) {
+            double want = unit(oracle);
+            ASSERT_EQ(source.uniform(), want) << "k " << k << " i " << i;
+            ASSERT_EQ(constructed.uniform(), want) << "k " << k << " i " << i;
+            ASSERT_EQ(assigned.uniform(), want) << "k " << k << " i " << i;
+        }
+    }
 }
 
 TEST(Summary, BasicMoments)
