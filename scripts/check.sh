@@ -59,12 +59,12 @@
 # counts. Pass --update after --armsrace to regenerate the golden
 # instead of diffing it.
 #
-# The --simd stage asserts the kernel-backend determinism contract: a
-# Release build with -DBOLT_SIMD=ON must pass its test suite (including
-# the scalar-vs-AVX2 bit-equality tests in tests/test_kernels.cc) and
-# must reproduce the scalar build's perf_recommender digest and
-# perf_serving sweep byte-for-byte. On hardware without AVX2 the SIMD
-# build falls back to the scalar backend and the gate still holds.
+# The --simd stage asserts the kernel-backend determinism contract in a
+# Release build, in one process: tests/test_kernels.cc runs every
+# kernel, a whole ControlledExperiment (its digest), analyzeBatch over a
+# perf_recommender-style query mix and decompose() under the Scalar
+# backend and then the Avx2 backend and compares the results bit for
+# bit. On hardware without AVX2 the backend comparisons skip.
 #
 # Usage: scripts/check.sh [--plain-only|--tsan-only|--asan-only|--obs|--fault|--serve|--scenario [--update]|--telemetry|--fleet [--update]|--armsrace [--update]|--simd|--bench-only]
 set -euo pipefail
@@ -564,42 +564,8 @@ fi
 if [[ "${mode}" == "--simd" || "${mode}" == "all" ]]; then
     echo "== SIMD backend equivalence gate =="
     cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-    cmake --build build-release -j "$(nproc)" \
-        --target perf_recommender perf_serving
-    cmake -B build-simd -S . -DCMAKE_BUILD_TYPE=Release \
-        -DBOLT_SIMD=ON >/dev/null
-    cmake --build build-simd -j "$(nproc)"
-    echo "-- SIMD build test suite (incl. scalar-vs-AVX2 bit equality) --"
-    ctest --test-dir build-simd --output-on-failure -j "$(nproc)" -L tier1
-    simd_dir="$(mktemp -d)"
-    trap 'rm -rf "${obs_dir:-}" "${fault_dir:-}" "${serve_dir:-}" "${scn_dir:-}" "${tel_dir:-}" "${simd_dir:-}"' EXIT
-
-    # The recommender query digest must be byte-identical across
-    # backends (each run is also gated against the committed golden).
-    echo "-- scalar vs SIMD: perf_recommender digest --"
-    ./build-release/bench/perf_recommender --reps 1 \
-        --json "${simd_dir}/rec_scalar.json" \
-        --golden bench/BENCH_recommender.golden >/dev/null
-    ./build-simd/bench/perf_recommender --reps 1 \
-        --json "${simd_dir}/rec_simd.json" \
-        --golden bench/BENCH_recommender.golden >/dev/null
-    if ! diff <(grep '"digest' "${simd_dir}/rec_scalar.json") \
-              <(grep '"digest' "${simd_dir}/rec_simd.json"); then
-        echo "FAIL: perf_recommender digests differ between scalar and" \
-             "SIMD builds" >&2
-        exit 1
-    fi
-
-    # The full serving sweep (Sim-class stdout) must match byte-for-byte.
-    echo "-- scalar vs SIMD: perf_serving sweep --"
-    ./build-release/bench/perf_serving > "${simd_dir}/sweep_scalar.txt"
-    ./build-simd/bench/perf_serving > "${simd_dir}/sweep_simd.txt"
-    if ! diff -u "${simd_dir}/sweep_scalar.txt" \
-                 "${simd_dir}/sweep_simd.txt"; then
-        echo "FAIL: perf_serving sweep differs between scalar and SIMD" \
-             "builds" >&2
-        exit 1
-    fi
+    cmake --build build-release -j "$(nproc)" --target test_kernels
+    ./build-release/tests/test_kernels
     echo "SIMD gate passed."
 fi
 

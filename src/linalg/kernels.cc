@@ -247,7 +247,7 @@ widenFit(const WidenSpec& spec, size_t cand_count, double* dist,
 } // namespace scalar_kernels
 
 // ---------------------------------------------------------------------
-// AVX2 backend (compiled only under BOLT_SIMD; see kernels_avx2.cc)
+// AVX2 backend (BOLT_SIMD: compiled in on x86-64; see kernels_avx2.cc)
 // ---------------------------------------------------------------------
 
 #if defined(BOLT_SIMD)

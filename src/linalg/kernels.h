@@ -126,7 +126,7 @@ class SoaMatrix
 /** Kernel backend. Scalar is the golden reference. */
 enum class KernelBackend : uint8_t {
     Scalar,
-    Avx2, ///< Available only in BOLT_SIMD builds on AVX2 hardware.
+    Avx2, ///< x86-64 builds on AVX2 hardware; the default there.
 };
 
 /** Backend used by subsequent kernel calls (process-wide). */

@@ -9,7 +9,11 @@
  * lanes and nothing is reassociated. This translation unit is compiled
  * with -mavx2 -mno-fma -ffp-contract=off so the compiler cannot fuse a
  * mul+add pair into an FMA (which rounds once instead of twice and
- * would diverge from the scalar reference in the last bit).
+ * would diverge from the scalar reference in the last bit). The unit
+ * is built into every x86-64 binary and only entered after
+ * cpuSupported(); the inline helpers it shares with other units
+ * (SoaMatrix accessors, paddedCount) are integer-only, so an -O0 copy
+ * the linker may keep from here carries no AVX instruction.
  *
  * Equivalence notes for the selection intrinsics (all inputs here are
  * finite, and products of nonnegative values never produce -0.0):

@@ -1,10 +1,8 @@
 #include "sgd.h"
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
-
-#include "util/thread_pool.h"
 
 namespace bolt {
 namespace linalg {
@@ -61,63 +59,82 @@ SgdScratch::epochOrder(uint64_t seed, size_t count, size_t epoch)
 namespace {
 
 /**
+ * One sequential SGD pass over `order` (one update per entry, applied
+ * immediately); returns the summed squared training error. R > 0 fixes
+ * the rank at compile time so the per-entry dot product and factor
+ * update unroll; R == 0 takes it from `rank`. Every instantiation runs
+ * the same multiplies and adds in the same order — the dot product
+ * k-ascending, then each factor pair updated from its pre-update
+ * values — so the rank dispatch is bit-identical.
+ */
+template <size_t R>
+double
+sgdEpoch(double* p, double* q, size_t rank, const SgdEntry* entries,
+         const std::vector<size_t>& order, double lr, double reg)
+{
+    const size_t r = R > 0 ? R : rank;
+    double sq_err = 0.0;
+    for (size_t idx : order) {
+        const SgdEntry& e = entries[idx];
+        double* pr = p + e.row * r;
+        double* qr = q + e.col * r;
+        double acc = 0.0;
+        for (size_t k = 0; k < r; ++k)
+            acc += pr[k] * qr[k];
+        double err = e.value - acc;
+        sq_err += err * err;
+        for (size_t k = 0; k < r; ++k) {
+            double pk = pr[k];
+            double qk = qr[k];
+            pr[k] += lr * (err * qk - reg * pk);
+            qr[k] += lr * (err * pk - reg * qk);
+        }
+    }
+    return sq_err;
+}
+
+using SgdEpochFn = double (*)(double*, double*, size_t, const SgdEntry*,
+                              const std::vector<size_t>&, double, double);
+
+/** The epoch kernel for `rank`: fixed-rank up to 8, generic above. */
+SgdEpochFn
+sgdEpochFor(size_t rank)
+{
+    switch (rank) {
+    case 1: return &sgdEpoch<1>;
+    case 2: return &sgdEpoch<2>;
+    case 3: return &sgdEpoch<3>;
+    case 4: return &sgdEpoch<4>;
+    case 5: return &sgdEpoch<5>;
+    case 6: return &sgdEpoch<6>;
+    case 7: return &sgdEpoch<7>;
+    case 8: return &sgdEpoch<8>;
+    default: return &sgdEpoch<0>;
+    }
+}
+
+/**
  * The SGD epoch loop shared by both entry points. `order_for(epoch)`
  * supplies the shuffled visit order — drawn live in sgdFactorize,
  * replayed from SgdScratch's cache in sgdFactorizeWarm — so the two
- * paths cannot drift arithmetically.
+ * paths cannot drift arithmetically. Factors must have config.rank
+ * columns.
  */
 template <typename OrderFn>
 void
 runSgdEpochs(SgdResult& res, const std::vector<SgdEntry>& entries,
-             const SgdConfig& config, std::vector<double>& batch_err,
-             OrderFn&& order_for)
+             const SgdConfig& config, OrderFn&& order_for)
 {
-    const size_t r = config.rank;
-    const size_t batch =
-        config.batchSize > 1 ? config.batchSize : size_t{1};
-    batch_err.resize(batch);
+    const SgdEpochFn epoch_fn = sgdEpochFor(config.rank);
+    double* const p = res.p.rowPtr(0);
+    double* const q = res.q.rowPtr(0);
+    const double lr = config.learningRate;
+    const double reg = config.regularization;
 
     double prev_rmse = std::numeric_limits<double>::infinity();
     for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
-        const std::vector<size_t>& order = order_for(epoch);
-        double sq_err = 0.0;
-        for (size_t base = 0; base < order.size(); base += batch) {
-            size_t count = std::min(batch, order.size() - base);
-            if (count > 1) {
-                // Mini-batch epoch: every gradient in the batch reads
-                // the batch-start factors, so the errors can be
-                // computed in parallel (each index owns its slot);
-                // updates are then applied in the fixed shuffled order,
-                // keeping the result thread-count invariant.
-                util::parallelFor(0, count, [&](size_t i) {
-                    const SgdEntry& e = entries[order[base + i]];
-                    batch_err[i] = e.value - res.predict(e.row, e.col);
-                });
-            } else {
-                const SgdEntry& e = entries[order[base]];
-                const double* pr = res.p.rowPtr(e.row);
-                const double* qr = res.q.rowPtr(e.col);
-                double acc = 0.0;
-                for (size_t k = 0; k < r; ++k)
-                    acc += pr[k] * qr[k];
-                batch_err[0] = e.value - acc;
-            }
-            for (size_t i = 0; i < count; ++i) {
-                const SgdEntry& e = entries[order[base + i]];
-                double err = batch_err[i];
-                sq_err += err * err;
-                double* pr = res.p.rowPtr(e.row);
-                double* qr = res.q.rowPtr(e.col);
-                for (size_t k = 0; k < r; ++k) {
-                    double pk = pr[k];
-                    double qk = qr[k];
-                    pr[k] += config.learningRate *
-                             (err * qk - config.regularization * pk);
-                    qr[k] += config.learningRate *
-                             (err * pk - config.regularization * qk);
-                }
-            }
-        }
+        double sq_err = epoch_fn(p, q, config.rank, entries.data(),
+                                 order_for(epoch), lr, reg);
         res.trainRmse =
             std::sqrt(sq_err / static_cast<double>(entries.size()));
         res.epochsRun = epoch + 1;
@@ -177,9 +194,8 @@ sgdFactorize(const SparseMatrix& data, const SgdConfig& config,
                 res.q(j, k) = rng.gaussian(0.0, 0.1);
     }
 
-    std::vector<double> batch_err;
     std::vector<size_t> order;
-    runSgdEpochs(res, entries, config, batch_err,
+    runSgdEpochs(res, entries, config,
                  [&](size_t) -> const std::vector<size_t>& {
                      order = rng.permutation(entries.size());
                      return order;
@@ -204,7 +220,7 @@ sgdFactorizeWarm(const SgdConfig& config, const Matrix& warm_p,
     res.q = warm_q;
     res.trainRmse = 0.0;
     res.epochsRun = 0;
-    runSgdEpochs(res, scratch.entries, config, scratch.batchErr,
+    runSgdEpochs(res, scratch.entries, config,
                  [&](size_t epoch) -> const std::vector<size_t>& {
                      return scratch.epochOrder(
                          config.seed, scratch.entries.size(), epoch);

@@ -11,8 +11,13 @@
  *    These run in every build.
  *  - Backend equality: every kernel must produce byte-identical output
  *    lanes under the Scalar and Avx2 backends across randomized shapes
- *    (ragged tails, degenerate counts). These skip unless the binary
- *    was built with BOLT_SIMD on AVX2 hardware.
+ *    (ragged tails, degenerate counts); and the callers that chain
+ *    the kernels — a whole ControlledExperiment (its digest),
+ *    analyzeBatch over a perf_recommender-style query mix and
+ *    decompose() on blended aggregates — must give bit-identical
+ *    results when run under Scalar and then Avx2 in one process. These
+ *    skip when the AVX2 backend is not compiled in (non-x86-64
+ *    targets) or the CPU lacks AVX2.
  *
  * Comparisons go through the raw IEEE-754 bit pattern, never through
  * an epsilon: the kernels promise bit-exactness, so the tests demand
@@ -20,16 +25,21 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <random>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/experiment.h"
 #include "core/recommender.h"
 #include "core/training.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
+#include "workloads/app.h"
 #include "workloads/generators.h"
 
 using namespace bolt;
@@ -189,7 +199,7 @@ TEST(FitKernel, NonPositiveWsumYieldsSentinelScore)
 }
 
 // ---------------------------------------------------------------------
-// Scalar-vs-AVX2 backend equality (skipped without BOLT_SIMD + AVX2).
+// Scalar-vs-AVX2 backend equality (skipped where AVX2 cannot run).
 // ---------------------------------------------------------------------
 
 namespace {
@@ -197,9 +207,8 @@ namespace {
 #define SKIP_WITHOUT_AVX2()                                              \
     do {                                                                 \
         if (!kernelBackendAvailable(KernelBackend::Avx2))                \
-            GTEST_SKIP() << "AVX2 backend not available "                \
-                            "(build with -DBOLT_SIMD=ON on AVX2 "        \
-                            "hardware)";                                 \
+            GTEST_SKIP() << "AVX2 backend not available on this "        \
+                            "CPU or compiler";                           \
     } while (0)
 
 void
@@ -500,4 +509,126 @@ TEST_F(BatchedAnalyze, SingleQueryBatchMatchesAnalyze)
         std::span<const core::SparseObservation>(&obs, 1));
     ASSERT_EQ(batched.size(), 1u);
     expectResultsBitEqual(batched[0], recommender_->analyze(obs));
+}
+
+// ---------------------------------------------------------------------
+// Scalar-vs-AVX2 end to end: the kernels' callers, in one process.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Runs `work` under Scalar, then under Avx2; restores the backend. */
+template <typename Work>
+auto
+underBothBackends(Work&& work)
+{
+    BackendGuard guard;
+    EXPECT_TRUE(setKernelBackend(KernelBackend::Scalar));
+    auto scalar = work();
+    EXPECT_TRUE(setKernelBackend(KernelBackend::Avx2));
+    auto simd = work();
+    return std::make_pair(std::move(scalar), std::move(simd));
+}
+
+/** Same trained recommender as BatchedAnalyze. */
+class BackendEquivalence : public BatchedAnalyze
+{
+};
+
+} // namespace
+
+TEST(BackendEquivalenceExperiment, ControlledExperimentDigestMatches)
+{
+    SKIP_WITHOUT_AVX2();
+    core::ExperimentConfig cfg;
+    cfg.servers = 8;
+    cfg.victims = 20;
+    cfg.trainingApps = 60;
+    cfg.seed = 31;
+    auto [scalar, simd] = underBothBackends(
+        [&] { return core::ControlledExperiment(cfg).run(); });
+    ASSERT_EQ(scalar.outcomes.size(), simd.outcomes.size());
+    EXPECT_EQ(scalar.digest(), simd.digest());
+    EXPECT_EQ(bits(scalar.aggregateAccuracy()),
+              bits(simd.aggregateAccuracy()));
+}
+
+TEST_F(BackendEquivalence, AnalyzeBatchOverQueryMixMatches)
+{
+    SKIP_WITHOUT_AVX2();
+    // perf_recommender's analyze mix: 2-10 observed resources at
+    // varying victim load, every third query reading uncore resources
+    // as Upper-bound aggregates.
+    util::Rng rng(20260806);
+    const size_t m = training_->size();
+    const size_t observed_counts[] = {2, 3, 5, 6, 10};
+    std::vector<core::SparseObservation> mix;
+    for (size_t q = 0; q < 40; ++q) {
+        const auto& entry = training_->entry((q * 7 + 3) % m);
+        double level = 0.30 + 0.05 * static_cast<double>(q % 13);
+        sim::ResourceVector p =
+            workloads::scaledPressure(entry.fullLoadBase, level);
+        size_t observed = observed_counts[q % 5];
+        core::SparseObservation obs;
+        size_t n = 0;
+        for (sim::Resource r : sim::kAllResources) {
+            if (n++ >= observed)
+                break;
+            double noisy =
+                std::clamp(p[r] + rng.gaussian(0.0, 1.0), 0.0, 100.0);
+            bool upper = (q % 3 == 0) && !sim::isCoreResource(r);
+            obs.set(r, noisy,
+                    upper ? core::SparseObservation::Bound::Upper
+                          : core::SparseObservation::Bound::Exact);
+        }
+        mix.push_back(std::move(obs));
+    }
+
+    auto [scalar, simd] =
+        underBothBackends([&] { return recommender_->analyzeBatch(mix); });
+    ASSERT_EQ(scalar.size(), mix.size());
+    ASSERT_EQ(simd.size(), mix.size());
+    for (size_t q = 0; q < mix.size(); ++q) {
+        SCOPED_TRACE("query " + std::to_string(q));
+        expectResultsBitEqual(scalar[q], simd[q]);
+    }
+}
+
+TEST_F(BackendEquivalence, DecomposeOutputsMatch)
+{
+    SKIP_WITHOUT_AVX2();
+    // perf_recommender's decompose mix: two blended training entries,
+    // alternating shared-core attribution and 2- or 3-part caps.
+    util::Rng rng(7);
+    const size_t m = training_->size();
+    for (size_t q = 0; q < 12; ++q) {
+        SCOPED_TRACE("query " + std::to_string(q));
+        const auto& a = training_->entry((q * 11 + 5) % m);
+        const auto& b = training_->entry((q * 17 + 29) % m);
+        sim::ResourceVector pa = workloads::scaledPressure(
+            a.fullLoadBase, 0.5 + 0.1 * static_cast<double>(q % 5));
+        sim::ResourceVector pb = workloads::scaledPressure(
+            b.fullLoadBase, 0.4 + 0.1 * static_cast<double>(q % 7));
+        core::SparseObservation obs;
+        for (sim::Resource r : sim::kAllResources) {
+            double v = sim::isCoreResource(r)
+                           ? pa[r]
+                           : std::min(pa[r] + pb[r], 100.0);
+            obs.set(r, std::clamp(v + rng.gaussian(0.0, 1.0), 0.0, 100.0));
+        }
+        const bool core_shared = q % 2 == 0;
+        const size_t max_parts = 2 + q % 2;
+
+        auto [scalar, simd] = underBothBackends([&] {
+            return recommender_->decompose(obs, core_shared, max_parts);
+        });
+        ASSERT_EQ(scalar.parts.size(), simd.parts.size());
+        for (size_t i = 0; i < scalar.parts.size(); ++i) {
+            EXPECT_EQ(scalar.parts[i].index, simd.parts[i].index);
+            EXPECT_EQ(bits(scalar.parts[i].level),
+                      bits(simd.parts[i].level));
+        }
+        EXPECT_EQ(bits(scalar.distance), bits(simd.distance));
+        EXPECT_EQ(bits(scalar.score), bits(simd.score));
+    }
 }

@@ -269,8 +269,9 @@ TEST(Properties, FaultOracleIsPureAndWindowed)
                 bool fa = a.phaseFlipAt(round, v, 60.0, &pa);
                 bool fb = b.phaseFlipAt(round, v, 60.0, &pb);
                 EXPECT_EQ(fa, fb) << "rep " << rep;
-                if (fa)
+                if (fa) {
                     EXPECT_EQ(pa, pb) << "rep " << rep;
+                }
             }
         }
 
