@@ -9,6 +9,7 @@
  *
  *   perf_parallel_scaling [--servers N] [--victims N] [--seed S]
  *
+ * Every timed run follows one untimed warm-up run at 1 thread.
  * Speedup saturates at the machine's physical core count; on a
  * single-core host every configuration runs in about the same time and
  * the table mainly demonstrates the determinism guarantee.
@@ -68,6 +69,12 @@ main(int argc, char** argv)
     double ref_acc = 0.0, ref_char = 0.0;
     std::vector<core::VictimOutcome> ref_outcomes;
     bool all_identical = true;
+
+    // One untimed run first, so the 1-thread timing (every speedup's
+    // baseline) does not also pay the process's cold costs: page
+    // faults, lazily built tables and per-thread scratch.
+    util::ThreadPool::setGlobalThreads(counts.front());
+    core::ControlledExperiment(cfg).run();
 
     for (unsigned n : counts) {
         util::ThreadPool::setGlobalThreads(n);

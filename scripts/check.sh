@@ -62,9 +62,10 @@
 # The --simd stage asserts the kernel-backend determinism contract in a
 # Release build, in one process: tests/test_kernels.cc runs every
 # kernel, a whole ControlledExperiment (its digest), analyzeBatch over a
-# perf_recommender-style query mix and decompose() under the Scalar
-# backend and then the Avx2 backend and compares the results bit for
-# bit. On hardware without AVX2 the backend comparisons skip.
+# perf_recommender-style query mix, decompose() and the SGD solver
+# (sgdFactorize, sgdFactorizeWarm) under the Scalar backend and then
+# the Avx2 backend and compares the results bit for bit. On hardware
+# without AVX2 the backend comparisons skip.
 #
 # Usage: scripts/check.sh [--plain-only|--tsan-only|--asan-only|--obs|--fault|--serve|--scenario [--update]|--telemetry|--fleet [--update]|--armsrace [--update]|--simd|--bench-only]
 set -euo pipefail

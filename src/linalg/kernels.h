@@ -24,14 +24,20 @@ namespace linalg {
  * Q x E scalar matvecs.
  *
  * Determinism contract: every kernel is *bit-identical* to the scalar
- * reference loops it replaces. Entries are independent output lanes, so
- * blocking (and the optional AVX2 backend) only evaluates independent
- * lanes side by side; no reduction is ever reassociated, every
- * per-entry accumulation keeps the reference coordinate order, and the
- * AVX2 translation unit is compiled with FMA contraction disabled so a
- * vector lane executes exactly the scalar instruction stream. The
- * scalar backend is the golden reference; tests/test_kernels.cc holds
- * the bit-equality suite.
+ * reference loops it replaces. In the kernels declared here entries
+ * are independent output lanes, so blocking (and the AVX2 backend) only
+ * evaluates independent lanes side by side; no reduction is ever
+ * reassociated, every per-entry accumulation keeps the reference
+ * coordinate order, and the AVX2 translation unit is compiled with FMA
+ * contraction disabled so a vector lane executes exactly the scalar
+ * instruction stream. The backend also selects the SGD epoch kernel of
+ * linalg/sgd.cc, whose lanes differ: they are the rank coordinates of
+ * one factor row, not entries. Its element-wise products and factor
+ * updates are lane-wise copies of the scalar ops, and its one
+ * reduction, the row dot product, is done in scalar k-ascending order
+ * from 0.0, never as a vector horizontal sum. The scalar backend is the
+ * golden reference; tests/test_kernels.cc holds the bit-equality
+ * suite.
  *
  * This layer is resource-agnostic (linalg sits below sim): callers pass
  * the load-scaling tags (capacity => load floor) and deviation mode per

@@ -1,19 +1,28 @@
 /**
- * AVX2 backend for the batched recommender kernels.
+ * AVX2 backend for the batched recommender kernels and the SGD epoch.
  *
- * Bit-reproducibility rules (see kernels.h): entries/candidates are
- * independent output lanes, so a 256-bit vector holds four of them side
- * by side and every lane executes exactly the scalar reference's
- * operation sequence — same coordinate order, same division (not
- * reciprocal-multiply), same min/max selection. No reduction crosses
- * lanes and nothing is reassociated. This translation unit is compiled
+ * Bit-reproducibility rules (see kernels.h): in the batched kernels
+ * entries/candidates are independent output lanes, so a 256-bit vector
+ * holds four of them side by side and every lane executes exactly the
+ * scalar reference's operation sequence — same coordinate order, same
+ * division (not reciprocal-multiply), same min/max selection. No
+ * reduction crosses lanes and nothing is reassociated. In the SGD epoch
+ * (sgdEpoch, the vector form of sgd.cc's sgdEpoch<R>) the lanes are
+ * instead the rank coordinates of one P or Q row: products and factor
+ * updates are lane-wise, and the dot product's lanes are summed one at
+ * a time in k order from 0.0, exactly as the scalar loop does, so the
+ * one cross-lane reduction is not reassociated either; updates stay
+ * strictly sequential over the visit order.
+ *
+ * This translation unit is compiled
  * with -mavx2 -mno-fma -ffp-contract=off so the compiler cannot fuse a
  * mul+add pair into an FMA (which rounds once instead of twice and
  * would diverge from the scalar reference in the last bit). The unit
  * is built into every x86-64 binary and only entered after
  * cpuSupported(); the inline helpers it shares with other units
  * (SoaMatrix accessors, paddedCount) are integer-only, so an -O0 copy
- * the linker may keep from here carries no AVX instruction.
+ * the linker may keep from here carries no AVX instruction. From sgd.h
+ * it reads only SgdEntry's fields and calls no inline function.
  *
  * Equivalence notes for the selection intrinsics (all inputs here are
  * finite, and products of nonnegative values never produce -0.0):
@@ -23,6 +32,7 @@
  */
 
 #include "kernels.h"
+#include "sgd.h"
 
 #include <immintrin.h>
 
@@ -316,6 +326,106 @@ widenFit(const WidenSpec& spec, size_t cand_count, double* dist,
             for (size_t l = 0; l < kKernelBlock; ++l)
                 levels[(cand + l) * P + p] = lane_levels[l];
         }
+    }
+}
+
+namespace {
+
+/** acc + v[0] + v[1] + v[2] + v[3], added one lane at a time. */
+inline double
+addLanesInOrder(double acc, __m256d v)
+{
+    const __m128d lo = _mm256_castpd256_pd128(v);
+    const __m128d hi = _mm256_extractf128_pd(v, 1);
+    acc += _mm_cvtsd_f64(lo);
+    acc += _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo));
+    acc += _mm_cvtsd_f64(hi);
+    acc += _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
+    return acc;
+}
+
+/**
+ * The scalar sgdEpoch<R> (sgd.cc) with the rank coordinates of one
+ * factor row as lanes: whole 4-wide vectors, then a scalar tail for
+ * rank % 4. The dot product's lane products are summed in scalar k
+ * order from 0.0, and each lane update is the reference's
+ * `x + lr * (err * y - reg * x)` from pre-update values.
+ */
+template <size_t R>
+double
+sgdEpochRank(double* p, double* q, size_t rank, const SgdEntry* entries,
+             const uint32_t* order, size_t count, double lr, double reg)
+{
+    const size_t r = R > 0 ? R : rank;
+    const size_t vec_end = r / kKernelBlock * kKernelBlock;
+    const __m256d lr_v = _mm256_set1_pd(lr);
+    const __m256d reg_v = _mm256_set1_pd(reg);
+    double sq_err = 0.0;
+    for (size_t i = 0; i < count; ++i) {
+        const SgdEntry& e = entries[order[i]];
+        double* pr = p + e.row * r;
+        double* qr = q + e.col * r;
+        double acc = 0.0;
+        for (size_t k = 0; k < vec_end; k += kKernelBlock)
+            acc = addLanesInOrder(
+                acc, _mm256_mul_pd(_mm256_loadu_pd(pr + k),
+                                   _mm256_loadu_pd(qr + k)));
+        for (size_t k = vec_end; k < r; ++k)
+            acc += pr[k] * qr[k];
+        const double err = e.value - acc;
+        sq_err += err * err;
+        const __m256d err_v = _mm256_set1_pd(err);
+        for (size_t k = 0; k < vec_end; k += kKernelBlock) {
+            const __m256d pk = _mm256_loadu_pd(pr + k);
+            const __m256d qk = _mm256_loadu_pd(qr + k);
+            _mm256_storeu_pd(
+                pr + k,
+                _mm256_add_pd(
+                    pk, _mm256_mul_pd(
+                            lr_v, _mm256_sub_pd(_mm256_mul_pd(err_v, qk),
+                                                _mm256_mul_pd(reg_v, pk)))));
+            _mm256_storeu_pd(
+                qr + k,
+                _mm256_add_pd(
+                    qk, _mm256_mul_pd(
+                            lr_v, _mm256_sub_pd(_mm256_mul_pd(err_v, pk),
+                                                _mm256_mul_pd(reg_v, qk)))));
+        }
+        for (size_t k = vec_end; k < r; ++k) {
+            double pk = pr[k];
+            double qk = qr[k];
+            pr[k] += lr * (err * qk - reg * pk);
+            qr[k] += lr * (err * pk - reg * qk);
+        }
+    }
+    return sq_err;
+}
+
+} // namespace
+
+double
+sgdEpoch(double* p, double* q, size_t rank, const SgdEntry* entries,
+         const uint32_t* order, size_t count, double lr, double reg)
+{
+    switch (rank) {
+    case 1:
+        return sgdEpochRank<1>(p, q, rank, entries, order, count, lr, reg);
+    case 2:
+        return sgdEpochRank<2>(p, q, rank, entries, order, count, lr, reg);
+    case 3:
+        return sgdEpochRank<3>(p, q, rank, entries, order, count, lr, reg);
+    case 4:
+        return sgdEpochRank<4>(p, q, rank, entries, order, count, lr, reg);
+    case 5:
+        return sgdEpochRank<5>(p, q, rank, entries, order, count, lr, reg);
+    case 6:
+        return sgdEpochRank<6>(p, q, rank, entries, order, count, lr, reg);
+    case 7:
+        return sgdEpochRank<7>(p, q, rank, entries, order, count, lr, reg);
+    case 8:
+        return sgdEpochRank<8>(p, q, rank, entries, order, count, lr, reg);
+    default:
+        return sgdEpochRank<0>(p, q, rank, entries, order, count, lr, reg);
     }
 }
 

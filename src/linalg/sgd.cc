@@ -3,9 +3,40 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+
+#include "linalg/kernels.h"
 
 namespace bolt {
 namespace linalg {
+
+#if defined(BOLT_SIMD)
+namespace avx2_kernels {
+double sgdEpoch(double*, double*, size_t, const SgdEntry*,
+                const uint32_t*, size_t, double, double);
+} // namespace avx2_kernels
+#endif
+
+namespace {
+
+/** Reject entry counts the 32-bit shuffle orders cannot index. */
+void
+checkOrderCount(size_t count, const char* who)
+{
+    if (count > std::numeric_limits<uint32_t>::max())
+        throw std::invalid_argument(std::string(who) +
+                                    ": entry count exceeds 2^32 - 1");
+}
+
+/** Rng::permutation(count), narrowed to 32-bit indices. */
+std::vector<uint32_t>
+permutation32(util::Rng& rng, size_t count)
+{
+    std::vector<size_t> wide = rng.permutation(count);
+    return std::vector<uint32_t>(wide.begin(), wide.end());
+}
+
+} // namespace
 
 double
 SgdResult::predict(size_t row, size_t col) const
@@ -34,9 +65,10 @@ SparseMatrix::dense(const Matrix& m)
     return out;
 }
 
-const std::vector<size_t>&
+const std::vector<uint32_t>&
 SgdScratch::epochOrder(uint64_t seed, size_t count, size_t epoch)
 {
+    checkOrderCount(count, "SgdScratch::epochOrder");
     PermCache* cache = nullptr;
     for (auto& c : caches) {
         if (c.seed == seed && c.count == count) {
@@ -52,30 +84,31 @@ SgdScratch::epochOrder(uint64_t seed, size_t count, size_t epoch)
         cache->rng = util::Rng(seed);
     }
     while (cache->orders.size() <= epoch)
-        cache->orders.push_back(cache->rng.permutation(count));
+        cache->orders.push_back(permutation32(cache->rng, count));
     return cache->orders[epoch];
 }
 
 namespace {
 
 /**
- * One sequential SGD pass over `order` (one update per entry, applied
- * immediately); returns the summed squared training error. R > 0 fixes
- * the rank at compile time so the per-entry dot product and factor
- * update unroll; R == 0 takes it from `rank`. Every instantiation runs
- * the same multiplies and adds in the same order — the dot product
- * k-ascending, then each factor pair updated from its pre-update
- * values — so the rank dispatch is bit-identical.
+ * One sequential SGD pass over order[0, count) (one update per entry,
+ * applied immediately); returns the summed squared training error.
+ * R > 0 fixes the rank at compile time so the per-entry dot product and
+ * factor update unroll; R == 0 takes it from `rank`. Every
+ * instantiation runs the same multiplies and adds in the same order —
+ * the dot product k-ascending, then each factor pair updated from its
+ * pre-update values — so the rank dispatch is bit-identical. This is
+ * the reference the AVX2 epoch kernel (kernels_avx2.cc) reproduces.
  */
 template <size_t R>
 double
 sgdEpoch(double* p, double* q, size_t rank, const SgdEntry* entries,
-         const std::vector<size_t>& order, double lr, double reg)
+         const uint32_t* order, size_t count, double lr, double reg)
 {
     const size_t r = R > 0 ? R : rank;
     double sq_err = 0.0;
-    for (size_t idx : order) {
-        const SgdEntry& e = entries[idx];
+    for (size_t i = 0; i < count; ++i) {
+        const SgdEntry& e = entries[order[i]];
         double* pr = p + e.row * r;
         double* qr = q + e.col * r;
         double acc = 0.0;
@@ -94,12 +127,20 @@ sgdEpoch(double* p, double* q, size_t rank, const SgdEntry* entries,
 }
 
 using SgdEpochFn = double (*)(double*, double*, size_t, const SgdEntry*,
-                              const std::vector<size_t>&, double, double);
+                              const uint32_t*, size_t, double, double);
 
-/** The epoch kernel for `rank`: fixed-rank up to 8, generic above. */
+/**
+ * The epoch kernel for `rank` on the active backend: the AVX2 kernel
+ * when selected, else the scalar one, fixed-rank up to 8 and generic
+ * above.
+ */
 SgdEpochFn
 sgdEpochFor(size_t rank)
 {
+#if defined(BOLT_SIMD)
+    if (activeKernelBackend() == KernelBackend::Avx2)
+        return &avx2_kernels::sgdEpoch;
+#endif
     switch (rank) {
     case 1: return &sgdEpoch<1>;
     case 2: return &sgdEpoch<2>;
@@ -133,8 +174,9 @@ runSgdEpochs(SgdResult& res, const std::vector<SgdEntry>& entries,
 
     double prev_rmse = std::numeric_limits<double>::infinity();
     for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
+        const std::vector<uint32_t>& order = order_for(epoch);
         double sq_err = epoch_fn(p, q, config.rank, entries.data(),
-                                 order_for(epoch), lr, reg);
+                                 order.data(), order.size(), lr, reg);
         res.trainRmse =
             std::sqrt(sq_err / static_cast<double>(entries.size()));
         res.epochsRun = epoch + 1;
@@ -174,6 +216,7 @@ sgdFactorize(const SparseMatrix& data, const SgdConfig& config,
                 entries.push_back({i, j, data.values(i, j)});
     if (entries.empty())
         throw std::invalid_argument("sgdFactorize: no observed entries");
+    checkOrderCount(entries.size(), "sgdFactorize");
 
     util::Rng rng(config.seed);
     SgdResult res;
@@ -194,10 +237,10 @@ sgdFactorize(const SparseMatrix& data, const SgdConfig& config,
                 res.q(j, k) = rng.gaussian(0.0, 0.1);
     }
 
-    std::vector<size_t> order;
+    std::vector<uint32_t> order;
     runSgdEpochs(res, entries, config,
-                 [&](size_t) -> const std::vector<size_t>& {
-                     order = rng.permutation(entries.size());
+                 [&](size_t) -> const std::vector<uint32_t>& {
+                     order = permutation32(rng, entries.size());
                      return order;
                  });
     return res;
@@ -221,7 +264,7 @@ sgdFactorizeWarm(const SgdConfig& config, const Matrix& warm_p,
     res.trainRmse = 0.0;
     res.epochsRun = 0;
     runSgdEpochs(res, scratch.entries, config,
-                 [&](size_t epoch) -> const std::vector<size_t>& {
+                 [&](size_t epoch) -> const std::vector<uint32_t>& {
                      return scratch.epochOrder(
                          config.seed, scratch.entries.size(), epoch);
                  });

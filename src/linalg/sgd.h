@@ -2,6 +2,7 @@
 #define BOLT_LINALG_SGD_H
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -60,7 +61,9 @@ struct SgdEntry
  * (seed, entry count) when warm starts are supplied — no initialization
  * draws precede it — so it can be generated once and replayed, which
  * removes ~entries x epochs RNG draws and one allocation per epoch from
- * every query.
+ * every query. Orders are stored as 32-bit indices (the values of
+ * util::Rng::permutation, narrowed), halving the cache and the epoch
+ * kernels' index stream.
  *
  * Not thread-safe: use one scratch per thread.
  */
@@ -75,16 +78,17 @@ struct SgdScratch
         uint64_t seed = 0;
         size_t count = 0;
         util::Rng rng{0};  ///< Continues the sequence across epochs.
-        std::vector<std::vector<size_t>> orders;
+        std::vector<std::vector<uint32_t>> orders;
     };
     std::vector<PermCache> caches;
 
     /**
      * The epoch-th shuffle order of a warm-started solve with this seed
-     * and entry count; generated lazily, cached forever.
+     * and entry count; generated lazily, cached forever. Throws
+     * std::invalid_argument when count does not fit 32-bit indices.
      */
-    const std::vector<size_t>& epochOrder(uint64_t seed, size_t count,
-                                          size_t epoch);
+    const std::vector<uint32_t>& epochOrder(uint64_t seed, size_t count,
+                                            size_t epoch);
 };
 
 /**

@@ -15,9 +15,13 @@
  *    the kernels — a whole ControlledExperiment (its digest),
  *    analyzeBatch over a perf_recommender-style query mix and
  *    decompose() on blended aggregates — must give bit-identical
- *    results when run under Scalar and then Avx2 in one process. These
- *    skip when the AVX2 backend is not compiled in (non-x86-64
- *    targets) or the CPU lacks AVX2.
+ *    results when run under Scalar and then Avx2 in one process. The
+ *    SGD epoch kernel is held to the same standard: sgdFactorize and
+ *    sgdFactorizeWarm must give bit-identical factors, RMSE and epoch
+ *    counts under both backends at ranks 1..9, and must match the
+ *    generic-loop oracle (sgd_oracle.h) under each. These skip when
+ *    the AVX2 backend is not compiled in (non-x86-64 targets) or the
+ *    CPU lacks AVX2.
  *
  * Comparisons go through the raw IEEE-754 bit pattern, never through
  * an epsilon: the kernels promise bit-exactness, so the tests demand
@@ -39,8 +43,11 @@
 #include "core/training.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
+#include "linalg/sgd.h"
 #include "workloads/app.h"
 #include "workloads/generators.h"
+
+#include "sgd_oracle.h"
 
 using namespace bolt;
 using namespace bolt::linalg;
@@ -630,5 +637,123 @@ TEST_F(BackendEquivalence, DecomposeOutputsMatch)
         }
         EXPECT_EQ(bits(scalar.distance), bits(simd.distance));
         EXPECT_EQ(bits(scalar.score), bits(simd.score));
+    }
+}
+
+// ---------------------------------------------------------------------
+// SGD epoch kernel (dispatched in linalg/sgd.cc): Scalar vs AVX2.
+// ---------------------------------------------------------------------
+
+namespace {
+
+SgdConfig
+sgdConfig(size_t rank, size_t epochs, uint64_t seed)
+{
+    SgdConfig cfg;
+    cfg.rank = rank;
+    cfg.epochs = epochs;
+    cfg.seed = seed;
+    return cfg;
+}
+
+/** Solves on one scratch, one per warm-start pair, in order. */
+std::vector<SgdResult>
+warmSolvesOnOneScratch(const SgdConfig& cfg, const SparseMatrix& data,
+                const std::vector<Matrix>& warm_p,
+                const std::vector<Matrix>& warm_q)
+{
+    SgdScratch scratch;
+    scratch.entries = test::observedEntries(data);
+    std::vector<SgdResult> out;
+    for (size_t call = 0; call < warm_p.size(); ++call)
+        out.push_back(
+            sgdFactorizeWarm(cfg, warm_p[call], warm_q[call], scratch));
+    return out;
+}
+
+} // namespace
+
+TEST(BackendEquality, SgdColdAndWarmStartsAtEveryRank)
+{
+    SKIP_WITHOUT_AVX2();
+    // Ranks 1..3 are all scalar tail, 4 and 8 whole vectors, 5..7 a
+    // vector plus a tail, 9 the runtime-rank loop.
+    for (size_t rank = 1; rank <= 9; ++rank) {
+        SCOPED_TRACE("rank " + std::to_string(rank));
+        util::Rng rng(500 + rank);
+        SparseMatrix data = test::maskedProblem(rank, rng);
+        SgdConfig cfg = sgdConfig(rank, 30, 61 + rank);
+        auto [cold_s, cold_v] =
+            underBothBackends([&] { return sgdFactorize(data, cfg); });
+        test::expectSgdBitEqual(cold_s, cold_v);
+
+        Matrix warm_p = test::randomFactors(data.rows(), rank, rng);
+        Matrix warm_q = test::randomFactors(data.cols(), rank, rng);
+        auto [warm_s, warm_v] = underBothBackends(
+            [&] { return sgdFactorize(data, cfg, warm_p, warm_q); });
+        test::expectSgdBitEqual(warm_s, warm_v);
+    }
+}
+
+TEST(BackendEquality, SgdRepeatedWarmSolvesOnOneScratch)
+{
+    SKIP_WITHOUT_AVX2();
+    for (size_t rank = 1; rank <= 9; ++rank) {
+        SCOPED_TRACE("rank " + std::to_string(rank));
+        util::Rng rng(1500 + rank);
+        SparseMatrix data = test::maskedProblem(rank, rng);
+        SgdConfig cfg = sgdConfig(rank, 20, 42);
+        std::vector<Matrix> warm_p, warm_q;
+        for (int call = 0; call < 3; ++call) {
+            warm_p.push_back(test::randomFactors(data.rows(), rank, rng));
+            warm_q.push_back(test::randomFactors(data.cols(), rank, rng));
+        }
+        auto [scalar, simd] = underBothBackends([&] {
+            return warmSolvesOnOneScratch(cfg, data, warm_p, warm_q);
+        });
+        ASSERT_EQ(scalar.size(), simd.size());
+        for (size_t call = 0; call < scalar.size(); ++call) {
+            SCOPED_TRACE("call " + std::to_string(call));
+            test::expectSgdBitEqual(scalar[call], simd[call]);
+        }
+    }
+}
+
+TEST(BackendEquality, SgdToleranceEarlyExit)
+{
+    SKIP_WITHOUT_AVX2();
+    for (size_t rank = 1; rank <= 9; ++rank) {
+        SCOPED_TRACE("rank " + std::to_string(rank));
+        util::Rng rng(2500 + rank);
+        SparseMatrix data = test::maskedProblem(rank, rng);
+        SgdConfig cfg = sgdConfig(rank, 400, 5 + rank);
+        cfg.tolerance = 1e-3;
+        auto [cold_s, cold_v] =
+            underBothBackends([&] { return sgdFactorize(data, cfg); });
+        ASSERT_LT(cold_s.epochsRun, cfg.epochs) << "tolerance never hit";
+        test::expectSgdBitEqual(cold_s, cold_v);
+
+        std::vector<Matrix> warm_p{
+            test::randomFactors(data.rows(), rank, rng)};
+        std::vector<Matrix> warm_q{
+            test::randomFactors(data.cols(), rank, rng)};
+        auto [warm_s, warm_v] = underBothBackends([&] {
+            return warmSolvesOnOneScratch(cfg, data, warm_p, warm_q);
+        });
+        ASSERT_LT(warm_s[0].epochsRun, cfg.epochs) << "tolerance never hit";
+        test::expectSgdBitEqual(warm_s[0], warm_v[0]);
+    }
+}
+
+TEST(BackendEquality, SgdMatchesGenericLoopOracleUnderEachBackend)
+{
+    SKIP_WITHOUT_AVX2();
+    BackendGuard guard;
+    for (KernelBackend b : {KernelBackend::Scalar, KernelBackend::Avx2}) {
+        SCOPED_TRACE(b == KernelBackend::Scalar ? "Scalar" : "Avx2");
+        ASSERT_TRUE(setKernelBackend(b));
+        test::expectColdAndWarmStartsMatchOracle();
+        test::expectRepeatedWarmSolvesMatchOracle();
+        test::expectToleranceEarlyExitMatchesOracle();
     }
 }
