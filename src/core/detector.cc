@@ -59,17 +59,23 @@ Detector::detectOnce(const HostEnvironment& env, double t, util::Rng& rng,
     double floor = recommender_.config().confidenceFloor;
     double mfloor = recommender_.config().marginFloor;
 
-    SimilarityResult whole = recommender_.analyze(prof.observation.allExact());
-
     size_t core_seen = 0;
     for (sim::Resource r : sim::kCoreResources)
         if (prof.observation.has(r))
             ++core_seen;
+    bool thin = prof.observation.observedCount() <
+                    static_cast<size_t>(config_.minObservedForMatch) ||
+                (prof.coreShared && core_seen < 3);
 
-    if (!whole.confident(floor, mfloor) ||
-        prof.observation.observedCount() <
-            static_cast<size_t>(config_.minObservedForMatch) ||
-        (prof.coreShared && core_seen < 3)) {
+    // The first analysis only decides whether to probe further, and
+    // the extra-probe branch replaces it with a fresh one. A thin
+    // profile always takes that branch, so it skips the first analysis
+    // (analyze() is a pure function of the observation).
+    SimilarityResult whole;
+    if (!thin)
+        whole = recommender_.analyze(prof.observation.allExact());
+
+    if (thin || !whole.confident(floor, mfloor)) {
         // Inconclusive or thin signal: widen the in-round snapshot with
         // extra probes (temporally coherent — a round fits in seconds).
         metrics.add(obs::MetricId::kDetectorExtraProbeRounds);

@@ -30,15 +30,27 @@ constexpr double kMatchDistanceScale = 12.0;
 constexpr double kPruneSlack = 1e-6;
 
 /**
- * Candidates per widening block: the prune bound gates a whole block
- * against the incumbent at block start, then the survivors are packed
- * and refit together by linalg::widenFit. A stale incumbent within a
- * block only admits extra candidates whose exact deviation the bound
- * already proves uncompetitive, so the search outcome is unchanged.
- * A multiple of the kernel block keeps packed columns aligned.
+ * Survivor-queue flush threshold of decompose()'s widening search. The
+ * training set is gated in chunks of this many candidates: the prune
+ * bound tests a chunk against the incumbent as of the last flush, and
+ * the chunk's survivors join a queue that is refit by one
+ * linalg::widenFit call once it holds at least kWidenChunk candidates,
+ * and at the end of each anchor pass. Most chunks keep only a few
+ * survivors, so queueing them fills whole kernel blocks. The gate's
+ * incumbent may be several chunks stale, but a staler (larger)
+ * incumbent only admits extra candidates whose exact deviation the
+ * bound already proves strictly worse, so the search outcome is
+ * unchanged. A multiple of the kernel block keeps packed columns
+ * aligned.
  */
 constexpr size_t kWidenChunk = 16;
 static_assert(kWidenChunk % linalg::kKernelBlock == 0);
+
+/**
+ * Survivor-queue capacity: a flush leaves fewer than kWidenChunk
+ * pending, and one more chunk adds at most kWidenChunk.
+ */
+constexpr size_t kWidenQueue = 2 * kWidenChunk;
 
 } // namespace
 
@@ -114,17 +126,17 @@ struct QueryScratch
     alignas(linalg::kKernelAlign) double
         fixedBase[(linalg::kMaxWidenParts - 1) * linalg::kMaxFitCoords];
     double fixedLevels[linalg::kMaxWidenParts - 1];
-    // One widening block: prune bounds, surviving candidate ids, their
-    // packed base columns (one aligned column per coordinate), and the
-    // refit outputs.
+    // Widening search: one chunk's prune bounds, the survivor queue's
+    // candidate ids, their packed base columns (one aligned column per
+    // coordinate), and the refit outputs.
     alignas(linalg::kKernelAlign) double pruneBuf[kWidenChunk];
     alignas(linalg::kKernelAlign) double
-        widenPack[linalg::kMaxFitCoords * kWidenChunk];
-    alignas(linalg::kKernelAlign) double widenDist[kWidenChunk];
+        widenPack[linalg::kMaxFitCoords * kWidenQueue];
+    alignas(linalg::kKernelAlign) double widenDist[kWidenQueue];
     alignas(linalg::kKernelAlign) double
-        widenLevels[kWidenChunk * linalg::kMaxWidenParts];
+        widenLevels[kWidenQueue * linalg::kMaxWidenParts];
     const double* candPtrs[linalg::kMaxFitCoords] = {};
-    size_t survivors[kWidenChunk] = {};
+    size_t survivors[kWidenQueue] = {};
 };
 
 /** RAII lease of a QueryScratch from a recommender's per-thread pool. */
@@ -766,11 +778,12 @@ HybridRecommender::decompose(const SparseObservation& observation,
     // Greedy widening: add a part while it improves the explanation
     // meaningfully (Occam margin), re-fitting levels by coordinate
     // descent. The candidate pool for the added part is the full
-    // training set, walked in aligned blocks: each block is gated by
-    // the pruning bound against the incumbent, and the survivors are
-    // packed and refit together by linalg::widenFit (lanes independent,
-    // so the fold below reproduces the one-candidate-at-a-time search
-    // bit for bit). Part 0 stays within the anchored shortlist.
+    // training set, walked in aligned chunks: each chunk is gated by
+    // the pruning bound against the incumbent, and the survivors queue
+    // up to be packed and refit together by linalg::widenFit (lanes
+    // independent, so the in-order fold reproduces the
+    // one-candidate-at-a-time search bit for bit). Part 0 stays within
+    // the anchored shortlist.
     for (size_t depth = 2; depth <= max_parts; ++depth) {
         double improved_distance = best_distance;
         s.improvedParts = s.bestParts;
@@ -872,41 +885,17 @@ HybridRecommender::decompose(const SparseObservation& observation,
             wspec.hi = ScaledProfileTable::kLevelMax;
             wspec.capacityFloor = workloads::kCapacityLoadFloor;
 
-            for (size_t j0 = 0; j0 < m; j0 += kWidenChunk) {
-                size_t count = std::min(kWidenChunk, m - j0);
-                // Lower-bound every candidate's best reachable
-                // deviation; a candidate whose bound cannot beat the
-                // incumbent (as of block start — only ever a
-                // conservative staleness) skips the coordinate descent.
-                // Every step of the bound is a monotone floating-point
-                // operation on quantities that bound the exact
-                // evaluation's, so pruning never changes the search's
-                // outcome.
-                for (size_t i = 0; i < s.obsCount; ++i) {
-                    if (s.pruneCoords[i].additive) {
-                        size_t c = s.obsIdx[i];
-                        s.pruneCoords[i].candLo = table_.loCol(c) + j0;
-                        s.pruneCoords[i].candHi = table_.hiCol(c) + j0;
-                    }
-                }
-                linalg::pruneBounds(s.pruneCoords.data(), s.obsCount,
-                                    count, s.pruneBuf);
-                size_t n_surv = 0;
-                for (size_t jl = 0; jl < count; ++jl) {
-                    if (s.pruneBuf[jl] / s.wsumAll >
-                        improved_distance + kPruneSlack) {
-                        ++prune_skipped;
-                    } else {
-                        s.survivors[n_surv++] = j0 + jl;
-                    }
-                }
+            // Refit the queued survivors and fold them in candidate
+            // order: a lane's deviation does not depend on the
+            // incumbent, so this reproduces the sequential search's
+            // improvement trajectory exactly.
+            size_t n_surv = 0;
+            auto flush = [&] {
                 if (n_surv == 0)
-                    continue;
-                // Pack the survivors' base columns and refit the whole
-                // block.
+                    return;
                 for (size_t i = 0; i < s.obsCount; ++i) {
                     const double* src = table_.baseCol(s.obsIdx[i]);
-                    double* dst = s.widenPack + i * kWidenChunk;
+                    double* dst = s.widenPack + i * kWidenQueue;
                     for (size_t si = 0; si < n_surv; ++si)
                         dst[si] = src[s.survivors[si]];
                     for (size_t si = n_surv;
@@ -916,9 +905,6 @@ HybridRecommender::decompose(const SparseObservation& observation,
                 }
                 linalg::widenFit(wspec, n_surv, s.widenDist,
                                  s.widenLevels);
-                // Fold in candidate order: a lane's deviation does not
-                // depend on the incumbent, so this reproduces the
-                // sequential search's improvement trajectory exactly.
                 for (size_t si = 0; si < n_surv; ++si) {
                     ++prune_evaluated;
                     double d = s.widenDist[si];
@@ -936,7 +922,41 @@ HybridRecommender::decompose(const SparseObservation& observation,
                                            (num_parts - 1)]});
                     }
                 }
+                n_surv = 0;
+            };
+            for (size_t j0 = 0; j0 < m; j0 += kWidenChunk) {
+                size_t count = std::min(kWidenChunk, m - j0);
+                // Lower-bound every candidate's best reachable
+                // deviation; a candidate whose bound cannot beat the
+                // incumbent (as of the last flush — only ever a
+                // conservative staleness) skips the coordinate descent.
+                // Every step of the bound is a monotone floating-point
+                // operation on quantities that bound the exact
+                // evaluation's, so pruning never changes the search's
+                // outcome.
+                for (size_t i = 0; i < s.obsCount; ++i) {
+                    if (s.pruneCoords[i].additive) {
+                        size_t c = s.obsIdx[i];
+                        s.pruneCoords[i].candLo = table_.loCol(c) + j0;
+                        s.pruneCoords[i].candHi = table_.hiCol(c) + j0;
+                    }
+                }
+                linalg::pruneBounds(s.pruneCoords.data(), s.obsCount,
+                                    count, s.pruneBuf);
+                for (size_t jl = 0; jl < count; ++jl) {
+                    if (s.pruneBuf[jl] / s.wsumAll >
+                        improved_distance + kPruneSlack) {
+                        ++prune_skipped;
+                    } else {
+                        s.survivors[n_surv++] = j0 + jl;
+                    }
+                }
+                if (n_surv >= kWidenChunk)
+                    flush();
             }
+            // The queued candidates were packed against this anchor's
+            // base parts, so the queue drains before the next anchor.
+            flush();
         }
         // Occam margin: an extra tenant must reduce the unexplained
         // signal meaningfully, or the simpler explanation stands.

@@ -320,6 +320,16 @@ struct WidenCoord
  * full-load base per coordinate. candBase holds the trailing part's
  * bases as one padded SoA column per coordinate (packed by the caller
  * to the surviving candidates).
+ *
+ * The AVX2 backend refits 4, then 2, then 1 adjacent 4-lane blocks
+ * side by side so their serial ternary chains overlap, and hoists out
+ * of each part's ternary probes what does not depend on that part's
+ * level: the deviation term of a core coordinate when the part is not
+ * part 0 or no core is shared, and an additive coordinate's running
+ * sum of the parts before it. The operation order per lane is
+ * unchanged: coordinates in order, each prediction summed as
+ * 0 + v_0 + ... + v_{partCount-1}, a real division by wsum, and 1e9
+ * when wsum <= 0.
  */
 struct WidenSpec
 {

@@ -14,6 +14,12 @@
  * one cross-lane reduction is not reassociated either; updates stay
  * strictly sequential over the visit order.
  *
+ * widenFit interleaves up to four 4-lane candidate blocks (groups of
+ * 4, then 2, then 1 blocks) and computes the level-independent terms
+ * of each part's refit once per refit instead of once per probe (see
+ * widenGroup). Lanes still follow the scalar widenFit's operation
+ * sequence: hoisting moves where a value is computed, never how.
+ *
  * This translation unit is compiled
  * with -mavx2 -mno-fma -ffp-contract=off so the compiler cannot fuse a
  * mul+add pair into an FMA (which rounds once instead of twice and
@@ -227,48 +233,188 @@ pruneBounds(const PruneCoord* coords, size_t coord_count,
 
 namespace {
 
-struct WidenState
+/**
+ * Refit G adjacent 4-lane candidate blocks side by side, starting at
+ * candidate `cand`. Each block is an independent serial chain (ternary
+ * step, deviation sum, division, blend), so interleaving G of them
+ * lets their latencies overlap; no lane ever reads another block's
+ * state.
+ *
+ * Per part p, the terms that do not depend on p's level are computed
+ * once per refit instead of once per ternary probe: the deviation term
+ * of a core coordinate when p != 0 or no core is shared (its
+ * prediction is part 0's value or zero), and for an additive
+ * coordinate the running sum 0 + v_0 + ... + v_{p-1} of the parts
+ * before p. A probe then adds v_p and the later parts one at a time in
+ * part order, and adds every coordinate's term to the deviation in
+ * coordinate order, so each lane performs the scalar reference's exact
+ * operation sequence. vals of a core coordinate for p != 0 are never
+ * read and are not computed.
+ */
+template <size_t G>
+void
+widenGroup(const WidenSpec& spec, size_t cand, double* dist,
+           double* levels)
 {
-    __m256d base[kMaxFitCoords][kMaxWidenParts];
-    __m256d vals[kMaxFitCoords][kMaxWidenParts];
-    __m256d lvl[kMaxWidenParts];
-};
-
-inline __m256d
-widenDeviationVec(const WidenSpec& spec, const WidenState& st)
-{
+    const size_t P = spec.partCount;
+    const size_t N = spec.coordCount;
     const __m256d zero = _mm256_setzero_pd();
     const __m256d hundred = _mm256_set1_pd(100.0);
-    __m256d dist = zero;
-    for (size_t i = 0; i < spec.coordCount; ++i) {
-        const WidenCoord& c = spec.coords[i];
-        __m256d pred;
-        if (c.core) {
-            pred = spec.coreShared ? st.vals[i][0] : zero;
-        } else {
-            pred = zero;
-            for (size_t p = 0; p < spec.partCount; ++p)
-                pred = _mm256_add_pd(pred, st.vals[i][p]);
-            pred = _mm256_min_pd(pred, hundred);
-        }
-        __m256d t = _mm256_set1_pd(c.target);
-        __m256d w = _mm256_set1_pd(c.weight);
-        dist = _mm256_add_pd(
-            dist, _mm256_mul_pd(w, vabs(_mm256_sub_pd(t, pred))));
-    }
-    if (spec.wsum > 0.0)
-        return _mm256_div_pd(dist, _mm256_set1_pd(spec.wsum));
-    return _mm256_set1_pd(1e9);
-}
-
-inline void
-widenRefresh(const WidenSpec& spec, WidenState& st, size_t p,
-             __m256d level)
-{
+    const __m256d third = _mm256_set1_pd(3.0);
+    const __m256d half = _mm256_set1_pd(0.5);
     const __m256d floor_ = _mm256_set1_pd(spec.capacityFloor);
-    for (size_t i = 0; i < spec.coordCount; ++i)
-        st.vals[i][p] = vpredict(st.base[i][p], spec.coords[i].capacity,
-                                 floor_, level);
+    const bool wsum_ok = spec.wsum > 0.0;
+    const __m256d wsum = _mm256_set1_pd(spec.wsum);
+    const __m256d sentinel = _mm256_set1_pd(1e9);
+
+    __m256d fixed_base[kMaxFitCoords][kMaxWidenParts - 1];
+    __m256d cand_base[G][kMaxFitCoords];
+    __m256d vals[G][kMaxFitCoords][kMaxWidenParts];
+    __m256d lvl[G][kMaxWidenParts];
+    // Level-independent part of the current refit, per block and
+    // coordinate: a whole deviation term or an additive prefix sum.
+    __m256d hoisted[G][kMaxFitCoords];
+
+    for (size_t i = 0; i < N; ++i) {
+        for (size_t p = 0; p + 1 < P; ++p)
+            fixed_base[i][p] = _mm256_set1_pd(spec.fixedBase[p * N + i]);
+        for (size_t g = 0; g < G; ++g)
+            cand_base[g][i] = _mm256_load_pd(spec.candBase[i] + cand +
+                                             g * kKernelBlock);
+    }
+    auto base_of = [&](size_t g, size_t i, size_t p) {
+        return p + 1 < P ? fixed_base[i][p] : cand_base[g][i];
+    };
+    // The deviation reads every part of an additive coordinate but
+    // only part 0 of a core one.
+    auto refresh = [&](size_t g, size_t p) {
+        for (size_t i = 0; i < N; ++i)
+            if (!spec.coords[i].core || p == 0)
+                vals[g][i][p] = vpredict(base_of(g, i, p),
+                                         spec.coords[i].capacity, floor_,
+                                         lvl[g][p]);
+    };
+    auto finish = [&](__m256d d) {
+        return wsum_ok ? _mm256_div_pd(d, wsum) : sentinel;
+    };
+    /** Deviation term w * |target - pred| of coordinate i. */
+    auto term = [&](size_t i, __m256d pred) {
+        const WidenCoord& c = spec.coords[i];
+        return _mm256_mul_pd(
+            _mm256_set1_pd(c.weight),
+            vabs(_mm256_sub_pd(_mm256_set1_pd(c.target), pred)));
+    };
+
+    for (size_t g = 0; g < G; ++g) {
+        for (size_t p = 0; p + 1 < P; ++p)
+            lvl[g][p] = _mm256_set1_pd(spec.fixedInitLevels[p]);
+        lvl[g][P - 1] = _mm256_set1_pd(spec.candInitLevel);
+        for (size_t p = 0; p < P; ++p)
+            refresh(g, p);
+    }
+
+    for (int round = 0; round < spec.rounds; ++round) {
+        for (size_t p = 0; p < P; ++p) {
+            // Whether this part's level moves the core predictions.
+            const bool core_live = p == 0 && spec.coreShared;
+            for (size_t g = 0; g < G; ++g) {
+                for (size_t i = 0; i < N; ++i) {
+                    if (spec.coords[i].core) {
+                        if (!core_live)
+                            hoisted[g][i] = term(
+                                i, spec.coreShared ? vals[g][i][0] : zero);
+                    } else {
+                        __m256d prefix = zero;
+                        for (size_t q = 0; q < p; ++q)
+                            prefix = _mm256_add_pd(prefix, vals[g][i][q]);
+                        hoisted[g][i] = prefix;
+                    }
+                }
+            }
+            __m256d lo[G], hi[G];
+            for (size_t g = 0; g < G; ++g) {
+                lo[g] = _mm256_set1_pd(spec.lo);
+                hi[g] = _mm256_set1_pd(spec.hi);
+            }
+            for (int it = 0; it < spec.iters; ++it) {
+                __m256d m1[G], m2[G], c1[G], c2[G], d1[G], d2[G];
+                for (size_t g = 0; g < G; ++g) {
+                    __m256d step =
+                        _mm256_div_pd(_mm256_sub_pd(hi[g], lo[g]), third);
+                    m1[g] = _mm256_add_pd(lo[g], step);
+                    m2[g] = _mm256_sub_pd(hi[g], step);
+                    c1[g] = _mm256_max_pd(m1[g], floor_);
+                    c2[g] = _mm256_max_pd(m2[g], floor_);
+                    d1[g] = zero;
+                    d2[g] = zero;
+                }
+                for (size_t i = 0; i < N; ++i) {
+                    const WidenCoord& c = spec.coords[i];
+                    if (c.core && !core_live) {
+                        for (size_t g = 0; g < G; ++g) {
+                            d1[g] = _mm256_add_pd(d1[g], hoisted[g][i]);
+                            d2[g] = _mm256_add_pd(d2[g], hoisted[g][i]);
+                        }
+                        continue;
+                    }
+                    for (size_t g = 0; g < G; ++g) {
+                        __m256d b = base_of(g, i, p);
+                        __m256d v1 = vclamp01h(_mm256_mul_pd(
+                            b, c.capacity ? c1[g] : m1[g]));
+                        __m256d v2 = vclamp01h(_mm256_mul_pd(
+                            b, c.capacity ? c2[g] : m2[g]));
+                        if (!c.core) {
+                            v1 = _mm256_add_pd(hoisted[g][i], v1);
+                            v2 = _mm256_add_pd(hoisted[g][i], v2);
+                            for (size_t q = p + 1; q < P; ++q) {
+                                v1 = _mm256_add_pd(v1, vals[g][i][q]);
+                                v2 = _mm256_add_pd(v2, vals[g][i][q]);
+                            }
+                            v1 = _mm256_min_pd(v1, hundred);
+                            v2 = _mm256_min_pd(v2, hundred);
+                        }
+                        d1[g] = _mm256_add_pd(d1[g], term(i, v1));
+                        d2[g] = _mm256_add_pd(d2[g], term(i, v2));
+                    }
+                }
+                for (size_t g = 0; g < G; ++g) {
+                    __m256d take =
+                        _mm256_cmp_pd(finish(d1[g]), finish(d2[g]),
+                                      _CMP_LT_OQ);
+                    hi[g] = _mm256_blendv_pd(hi[g], m2[g], take);
+                    lo[g] = _mm256_blendv_pd(m1[g], lo[g], take);
+                }
+            }
+            for (size_t g = 0; g < G; ++g) {
+                lvl[g][p] = _mm256_mul_pd(half, _mm256_add_pd(lo[g], hi[g]));
+                refresh(g, p);
+            }
+        }
+    }
+
+    for (size_t g = 0; g < G; ++g) {
+        __m256d d = zero;
+        for (size_t i = 0; i < N; ++i) {
+            __m256d pred;
+            if (spec.coords[i].core) {
+                pred = spec.coreShared ? vals[g][i][0] : zero;
+            } else {
+                pred = zero;
+                for (size_t p = 0; p < P; ++p)
+                    pred = _mm256_add_pd(pred, vals[g][i][p]);
+                pred = _mm256_min_pd(pred, hundred);
+            }
+            d = _mm256_add_pd(d, term(i, pred));
+        }
+        const size_t e = cand + g * kKernelBlock;
+        _mm256_store_pd(dist + e, finish(d));
+        alignas(32) double lane_levels[kKernelBlock];
+        for (size_t p = 0; p < P; ++p) {
+            _mm256_store_pd(lane_levels, lvl[g][p]);
+            for (size_t l = 0; l < kKernelBlock; ++l)
+                levels[(e + l) * P + p] = lane_levels[l];
+        }
+    }
 }
 
 } // namespace
@@ -277,56 +423,16 @@ void
 widenFit(const WidenSpec& spec, size_t cand_count, double* dist,
          double* levels)
 {
-    const size_t P = spec.partCount;
-    const size_t N = spec.coordCount;
     const size_t padded = paddedCount(cand_count);
-    const __m256d third = _mm256_set1_pd(3.0);
-    const __m256d half = _mm256_set1_pd(0.5);
-    WidenState st;
-    for (size_t cand = 0; cand < padded; cand += kKernelBlock) {
-        for (size_t i = 0; i < N; ++i) {
-            for (size_t p = 0; p + 1 < P; ++p)
-                st.base[i][p] =
-                    _mm256_set1_pd(spec.fixedBase[p * N + i]);
-            st.base[i][P - 1] =
-                _mm256_load_pd(spec.candBase[i] + cand);
-        }
-        for (size_t p = 0; p + 1 < P; ++p)
-            st.lvl[p] = _mm256_set1_pd(spec.fixedInitLevels[p]);
-        st.lvl[P - 1] = _mm256_set1_pd(spec.candInitLevel);
-        for (size_t p = 0; p < P; ++p)
-            widenRefresh(spec, st, p, st.lvl[p]);
-
-        for (int round = 0; round < spec.rounds; ++round) {
-            for (size_t p = 0; p < P; ++p) {
-                __m256d lo = _mm256_set1_pd(spec.lo);
-                __m256d hi = _mm256_set1_pd(spec.hi);
-                for (int it = 0; it < spec.iters; ++it) {
-                    __m256d step =
-                        _mm256_div_pd(_mm256_sub_pd(hi, lo), third);
-                    __m256d m1 = _mm256_add_pd(lo, step);
-                    __m256d m2 = _mm256_sub_pd(hi, step);
-                    widenRefresh(spec, st, p, m1);
-                    __m256d d1 = widenDeviationVec(spec, st);
-                    widenRefresh(spec, st, p, m2);
-                    __m256d d2 = widenDeviationVec(spec, st);
-                    __m256d take = _mm256_cmp_pd(d1, d2, _CMP_LT_OQ);
-                    hi = _mm256_blendv_pd(hi, m2, take);
-                    lo = _mm256_blendv_pd(m1, lo, take);
-                }
-                st.lvl[p] =
-                    _mm256_mul_pd(half, _mm256_add_pd(lo, hi));
-                widenRefresh(spec, st, p, st.lvl[p]);
-            }
-        }
-        _mm256_store_pd(dist + cand, widenDeviationVec(spec, st));
-        alignas(32) double lane_levels[kKernelBlock];
-        for (size_t p = 0; p < P; ++p) {
-            _mm256_store_pd(lane_levels, st.lvl[p]);
-            for (size_t l = 0; l < kKernelBlock; ++l)
-                levels[(cand + l) * P + p] = lane_levels[l];
-        }
+    size_t cand = 0;
+    for (; cand + 4 * kKernelBlock <= padded; cand += 4 * kKernelBlock)
+        widenGroup<4>(spec, cand, dist, levels);
+    if (cand + 2 * kKernelBlock <= padded) {
+        widenGroup<2>(spec, cand, dist, levels);
+        cand += 2 * kKernelBlock;
     }
+    if (cand < padded)
+        widenGroup<1>(spec, cand, dist, levels);
 }
 
 namespace {

@@ -452,6 +452,95 @@ TEST_F(TrainedFixture, DetectorStopsAtMaxIterations)
     EXPECT_EQ(rounds.size(), 3u);
 }
 
+namespace {
+
+/** recommender.analyze_calls recorded while `fn` runs, metrics on. */
+template <typename Fn>
+uint64_t
+analyzeCallsDuring(Fn&& fn)
+{
+    auto& metrics = obs::MetricsRegistry::global();
+    metrics.reset();
+    metrics.setEnabled(true);
+    fn();
+    metrics.setEnabled(false);
+    uint64_t calls =
+        metrics.snapshot()
+            .counter(obs::MetricId::kRecommenderAnalyzeCalls)
+            .value;
+    metrics.reset();
+    return calls;
+}
+
+} // namespace
+
+TEST_F(TrainedFixture, DetectorThinRoundAnalyzesOnce)
+{
+    // The default two-probe round is thinner than minObservedForMatch,
+    // so the detector widens it without analyzing the thin profile
+    // first; with the shutter off the widened profile is the only
+    // analysis.
+    util::Rng rng(84);
+    auto spec = steadySpec("memcached", "rd-heavy", rng, 0.9, 2);
+    MiniHost host({spec}, rng.substream("host"));
+    DetectorConfig cfg;
+    cfg.shutterEnabled = false;
+    Detector detector(*recommender_, cfg);
+    auto env = host.env();
+    util::Rng drng = rng.substream("detect");
+    DetectionRound round;
+    uint64_t calls = analyzeCallsDuring(
+        [&] { round = detector.detectOnce(env, 0.0, drng); });
+    EXPECT_EQ(calls, 1u);
+    EXPECT_FALSE(round.usedShutter);
+    EXPECT_GT(round.benchmarksRun, 3);
+}
+
+TEST_F(TrainedFixture, DetectorFullRoundAnalyzesBeforeProbingMore)
+{
+    // A first profile that probes every resource is not thin: the
+    // detector analyzes it, stops there when the match is confident,
+    // and analyzes once more after extra probes when it is not.
+    DetectorConfig cfg;
+    cfg.profiler.benchmarks = 2 * static_cast<int>(sim::kNumResources);
+    cfg.shutterEnabled = false;
+    Detector detector(*recommender_, cfg);
+    Profiler profiler(cfg.profiler);
+    const double floor = recommender_->config().confidenceFloor;
+    const double mfloor = recommender_->config().marginFloor;
+    bool saw_confident = false, saw_unconfident = false;
+    const char* const families[][2] = {
+        {"spark", "kmeans"},  {"memcached", "rd-heavy"},
+        {"mysql", "oltp"},    {"cassandra", "read"},
+        {"email", "client"},
+    };
+    for (size_t k = 0; k < std::size(families); ++k) {
+        util::Rng rng(85 + k);
+        auto spec = steadySpec(families[k][0], families[k][1], rng, 0.9, 2);
+        auto spec2 = steadySpec("hadoop", "sort", rng, 0.6, 2);
+        MiniHost host({spec, spec2}, rng.substream("host"));
+        auto env = host.env();
+        util::Rng drng = rng.substream("detect");
+
+        // Replay the round's first profile on an identical host to learn
+        // what the detector's first analysis concludes.
+        MiniHost twin({spec, spec2}, rng.substream("host"));
+        util::Rng replay = drng;
+        ProfileRound first = profiler.profile(twin.env(), 0.0, replay, 0);
+        ASSERT_GE(first.observation.observedCount(),
+                  static_cast<size_t>(cfg.minObservedForMatch));
+        bool confident = recommender_->analyze(first.observation.allExact())
+                             .confident(floor, mfloor);
+        (confident ? saw_confident : saw_unconfident) = true;
+
+        uint64_t calls = analyzeCallsDuring(
+            [&] { detector.detectOnce(env, 0.0, drng); });
+        EXPECT_EQ(calls, confident ? 1u : 2u) << families[k][0];
+    }
+    EXPECT_TRUE(saw_confident);
+    EXPECT_TRUE(saw_unconfident);
+}
+
 TEST_F(TrainedFixture, RoundMatchHelpers)
 {
     util::Rng rng(83);

@@ -403,6 +403,30 @@ goldenObsC(const TrainingSet& training)
     return obs;
 }
 
+/**
+ * Three-tenant aggregate: entry 5 at 0.7 (core + uncore) plus 40 at 0.5
+ * and 77 at 0.6 (uncore only). Deep enough that decompose() widens
+ * past two parts.
+ */
+SparseObservation
+goldenObsD(const TrainingSet& training)
+{
+    SparseObservation obs;
+    auto pa =
+        workloads::scaledPressure(training.entry(5).fullLoadBase, 0.7);
+    auto pb =
+        workloads::scaledPressure(training.entry(40).fullLoadBase, 0.5);
+    auto pc =
+        workloads::scaledPressure(training.entry(77).fullLoadBase, 0.6);
+    for (sim::Resource r : sim::kAllResources) {
+        double v = sim::isCoreResource(r)
+                       ? pa[r]
+                       : std::min(pa[r] + pb[r] + pc[r], 100.0);
+        obs.set(r, v);
+    }
+    return obs;
+}
+
 constexpr std::pair<size_t, double> kGoldenATop5[] = {
     {66, 0.89729227369622877},  {17, 0.86001635938147758},
     {110, 0.83241547858308262}, {19, 0.82893404220931854},
@@ -504,6 +528,19 @@ TEST(Determinism, RecommenderGoldenDecompose)
     EXPECT_EQ(0.34000208866082982, unshared.parts[1].level);
     EXPECT_EQ(7.7007752564741061, unshared.distance);
     EXPECT_EQ(0.52638032753529185, unshared.score);
+
+    // Three parts at max_parts 4: the depth-3 widening wins and the
+    // depth-4 search runs but fails the Occam margin.
+    auto deep = rec.decompose(goldenObsD(training), true, 4);
+    ASSERT_EQ(3u, deep.parts.size());
+    EXPECT_EQ(57u, deep.parts[0].index);
+    EXPECT_EQ(0.42745318859478287, deep.parts[0].level);
+    EXPECT_EQ(27u, deep.parts[1].index);
+    EXPECT_EQ(0.68323708558428875, deep.parts[1].level);
+    EXPECT_EQ(98u, deep.parts[2].index);
+    EXPECT_EQ(0.79836463502063282, deep.parts[2].level);
+    EXPECT_EQ(0.63858958480191885, deep.distance);
+    EXPECT_EQ(0.94817537535774454, deep.score);
 }
 
 TEST(Determinism, RecommenderIdenticalAcrossThreadsAndScratchPaths)

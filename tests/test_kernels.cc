@@ -346,61 +346,156 @@ TEST(BackendEquality, PruneBoundsRandomizedShapes)
     }
 }
 
+namespace {
+
+/** Which coordinates of a widening problem are core coordinates. */
+enum class CoreLayout { Mixed, AllCore, NoCore };
+
+/** A random widening problem: coordinates, bases and init levels. */
+struct WidenProblem
+{
+    std::vector<WidenCoord> coords;
+    std::vector<AlignedVector> candCols;
+    std::vector<const double*> candPtrs;
+    std::vector<double> fixedBase;
+    std::vector<double> fixedLevels;
+    WidenSpec spec;
+
+    /**
+     * tiny_part1: part 1's bases are at the rounding scale of the other
+     * parts' sum, so its refit probes differ only in the last bits and
+     * the ternary comparisons expose any change of summation order.
+     */
+    WidenProblem(std::mt19937_64& rng, size_t cands, size_t coord_count,
+                 size_t parts, CoreLayout layout, bool core_shared,
+                 bool tiny_part1 = false)
+        : coords(coord_count), candPtrs(coord_count),
+          fixedBase((parts - 1) * coord_count),
+          fixedLevels(parts - 1, 0.7)
+    {
+        std::uniform_real_distribution<double> wdist(0.05, 1.0);
+        std::uniform_real_distribution<double> tdist(0.0, 100.0);
+        std::uniform_int_distribution<int> bdist(0, 1);
+        double wsum = 0.0;
+        for (size_t i = 0; i < coord_count; ++i) {
+            coords[i].weight = wdist(rng);
+            coords[i].target = tdist(rng);
+            // Mixed: at 10 coordinates, 4 core ones (the detect shape).
+            coords[i].core = layout == CoreLayout::AllCore ||
+                             (layout == CoreLayout::Mixed && i % 5 < 2);
+            coords[i].capacity = bdist(rng) == 1;
+            wsum += coords[i].weight;
+            candCols.push_back(randomColumn(rng, cands, 0.0, 100.0));
+            candPtrs[i] = candCols.back().data();
+            for (size_t p = 0; p + 1 < parts; ++p)
+                fixedBase[p * coord_count + i] =
+                    tdist(rng) * (tiny_part1 && p == 1 ? 1e-15 : 1.0);
+        }
+        spec.coords = coords.data();
+        spec.coordCount = coord_count;
+        spec.partCount = parts;
+        spec.fixedBase = fixedBase.data();
+        spec.candBase = candPtrs.data();
+        spec.fixedInitLevels = fixedLevels.data();
+        spec.coreShared = core_shared;
+        spec.wsum = wsum;
+    }
+    // spec points into the members.
+    WidenProblem(const WidenProblem&) = delete;
+    WidenProblem& operator=(const WidenProblem&) = delete;
+};
+
+/** widenFit outputs of one backend. */
+struct WidenOut
+{
+    AlignedVector dist;
+    AlignedVector levels;
+};
+
+WidenOut
+runWiden(KernelBackend backend, const WidenSpec& spec, size_t cands)
+{
+    EXPECT_TRUE(setKernelBackend(backend));
+    size_t padded = paddedCount(cands);
+    WidenOut out{AlignedVector(padded),
+                 AlignedVector(padded * spec.partCount)};
+    widenFit(spec, cands, out.dist.data(), out.levels.data());
+    return out;
+}
+
+void
+expectWidenEqual(const WidenOut& a, const WidenOut& b, size_t cands,
+                 size_t parts, const std::string& where)
+{
+    SCOPED_TRACE(where);
+    expectLanesEqual(a.dist, b.dist, cands, "widen distance");
+    for (size_t e = 0; e < cands; ++e)
+        for (size_t p = 0; p < parts; ++p) {
+            size_t i = e * parts + p;
+            EXPECT_EQ(bits(a.levels[i]), bits(b.levels[i]))
+                << "widen level e=" << e << " p=" << p;
+        }
+}
+
+} // namespace
+
 TEST(BackendEquality, WidenFitRandomizedShapes)
 {
     SKIP_WITHOUT_AVX2();
     BackendGuard guard;
     std::mt19937_64 rng(0x31de);
-    std::uniform_real_distribution<double> wdist(0.05, 1.0);
-    std::uniform_real_distribution<double> tdist(0.0, 100.0);
-    std::uniform_int_distribution<int> bdist(0, 1);
-    for (size_t cands : kEntryCounts) {
-        for (size_t parts : {size_t(2), size_t(3), kMaxWidenParts}) {
-            const size_t coords = 10;
-            std::vector<WidenCoord> wc(coords);
-            std::vector<AlignedVector> cand_cols;
-            std::vector<const double*> cand_ptrs(coords);
-            std::vector<double> fixed_base((parts - 1) * coords);
-            std::vector<double> fixed_levels(parts - 1, 0.7);
-            double wsum = 0.0;
-            for (size_t i = 0; i < coords; ++i) {
-                wc[i].weight = wdist(rng);
-                wc[i].target = tdist(rng);
-                wc[i].core = bdist(rng) == 1;
-                wc[i].capacity = bdist(rng) == 1;
-                wsum += wc[i].weight;
-                cand_cols.push_back(
-                    randomColumn(rng, cands, 0.0, 100.0));
-                cand_ptrs[i] = cand_cols.back().data();
-                for (size_t p = 0; p + 1 < parts; ++p)
-                    fixed_base[p * coords + i] = tdist(rng);
-            }
-            WidenSpec spec;
-            spec.coords = wc.data();
-            spec.coordCount = coords;
-            spec.partCount = parts;
-            spec.fixedBase = fixed_base.data();
-            spec.candBase = cand_ptrs.data();
-            spec.fixedInitLevels = fixed_levels.data();
-            spec.coreShared = bdist(rng) == 1;
-            spec.wsum = wsum;
-
-            size_t padded = paddedCount(cands);
-            AlignedVector d1(padded), d2(padded);
-            AlignedVector lv1(padded * parts), lv2(padded * parts);
-            ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
-            widenFit(spec, cands, d1.data(), lv1.data());
-            ASSERT_TRUE(setKernelBackend(KernelBackend::Avx2));
-            widenFit(spec, cands, d2.data(), lv2.data());
-            expectLanesEqual(d1, d2, cands, "widen distance");
-            for (size_t e = 0; e < cands; ++e)
-                for (size_t p = 0; p < parts; ++p) {
-                    size_t i = e * parts + p;
-                    EXPECT_EQ(bits(lv1[i]), bits(lv2[i]))
-                        << "cands=" << cands << " parts=" << parts
-                        << " widen level e=" << e << " p=" << p;
+    struct Layout
+    {
+        size_t coords;
+        CoreLayout core;
+    };
+    const Layout layouts[] = {
+        {1, CoreLayout::Mixed},    {4, CoreLayout::Mixed},
+        {10, CoreLayout::Mixed},   {16, CoreLayout::Mixed},
+        {4, CoreLayout::AllCore},  {10, CoreLayout::NoCore},
+    };
+    // Entry counts up to 33 reach the 4-, 2- and 1-block groups of the
+    // AVX2 kernel and its padded tails.
+    for (size_t cands : kEntryCounts)
+        for (const Layout& layout : layouts)
+            for (size_t parts = 2; parts <= kMaxWidenParts; ++parts)
+                for (int variant = 0; variant < 4; ++variant) {
+                    bool core_shared = variant & 1;
+                    bool tiny = variant & 2;
+                    WidenProblem prob(rng, cands, layout.coords, parts,
+                                      layout.core, core_shared, tiny);
+                    WidenOut ref =
+                        runWiden(KernelBackend::Scalar, prob.spec, cands);
+                    WidenOut avx =
+                        runWiden(KernelBackend::Avx2, prob.spec, cands);
+                    expectWidenEqual(
+                        ref, avx, cands, parts,
+                        "cands=" + std::to_string(cands) +
+                            " coords=" + std::to_string(layout.coords) +
+                            " layout=" +
+                            std::to_string(static_cast<int>(layout.core)) +
+                            " parts=" + std::to_string(parts) +
+                            " coreShared=" + std::to_string(core_shared) +
+                            " tiny=" + std::to_string(tiny));
                 }
+}
+
+TEST(BackendEquality, WidenFitZeroWeightSumSentinel)
+{
+    SKIP_WITHOUT_AVX2();
+    BackendGuard guard;
+    std::mt19937_64 rng(0x5e71);
+    for (size_t cands : kEntryCounts) {
+        WidenProblem prob(rng, cands, 10, 3, CoreLayout::Mixed, true);
+        prob.spec.wsum = 0.0;
+        WidenOut ref = runWiden(KernelBackend::Scalar, prob.spec, cands);
+        WidenOut avx = runWiden(KernelBackend::Avx2, prob.spec, cands);
+        for (size_t e = 0; e < cands; ++e) {
+            EXPECT_EQ(1e9, ref.dist[e]) << "scalar lane " << e;
+            EXPECT_EQ(1e9, avx.dist[e]) << "avx2 lane " << e;
         }
+        expectWidenEqual(ref, avx, cands, 3,
+                         "cands=" + std::to_string(cands));
     }
 }
 
