@@ -1,6 +1,8 @@
 #include "sim/shard.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <string>
 
 #include "obs/metrics.h"
@@ -25,6 +27,40 @@ constexpr double kAnomalyThreshold = 75.0;
 using util::seeds::kFleetBoot;
 using util::seeds::kFleetChurn;
 using util::seeds::kFleetProfile;
+
+/**
+ * Call body(i, rng) for each item i in [begin, end) that want(i)
+ * accepts, in item order, with rng == derive(i). The streams are
+ * derived and primed util::Rng::kPrimeWidth at a time, which hides the
+ * latency of their seeding chains and changes no draw, so where the
+ * block boundaries fall never reaches the output. want and derive
+ * must not depend on what body does to earlier items.
+ */
+template <typename Want, typename Derive, typename Body>
+void
+forEachStream(size_t begin, size_t end, Want want, Derive derive, Body body)
+{
+    std::array<util::Rng, util::Rng::kPrimeWidth> block;
+    std::array<size_t, util::Rng::kPrimeWidth> item;
+    size_t n = 0;
+    auto flush = [&] {
+        util::Rng::prime(std::span(block.data(), n));
+        for (size_t j = 0; j < n; ++j)
+            body(item[j], block[j]);
+        n = 0;
+    };
+    for (size_t i = begin; i < end; ++i) {
+        if (!want(i))
+            continue;
+        item[n] = i;
+        block[n] = derive(i);
+        if (++n == block.size())
+            flush();
+    }
+    flush();
+}
+
+constexpr auto kEveryItem = [](size_t) { return true; };
 
 } // namespace
 
@@ -162,21 +198,27 @@ FleetCluster::bootFleet(FleetResult* out)
 {
     // Boot placement is decision-plane work: one stream per tenant,
     // ring first-fit from a drawn start host.
-    for (size_t i = 0; i < cfg_.tenants; ++i) {
-        util::Rng rng = util::Rng::stream(cfg_.seed, {kFleetBoot, i});
-        Vm vm;
-        vm.vcpus = static_cast<uint8_t>(rng.uniformInt(1, cfg_.maxVcpus));
-        vm.alive = true;
-        uint32_t id = static_cast<uint32_t>(vms_.size());
-        vms_.push_back(vm);
-        if (place(id, rng.index(hosts_.size()), kNone, false, nullptr)) {
-            ++alive_;
-            ++out->vmsBooted;
-        } else {
-            vms_[id].alive = false;
-            ++out->placementFailures;
-        }
-    }
+    forEachStream(
+        0, cfg_.tenants, kEveryItem,
+        [&](size_t i) {
+            return util::Rng::stream(cfg_.seed, {kFleetBoot, i});
+        },
+        [&](size_t, util::Rng& rng) {
+            Vm vm;
+            vm.vcpus =
+                static_cast<uint8_t>(rng.uniformInt(1, cfg_.maxVcpus));
+            vm.alive = true;
+            uint32_t id = static_cast<uint32_t>(vms_.size());
+            vms_.push_back(vm);
+            if (place(id, rng.index(hosts_.size()), kNone, false,
+                      nullptr)) {
+                ++alive_;
+                ++out->vmsBooted;
+            } else {
+                vms_[id].alive = false;
+                ++out->placementFailures;
+            }
+        });
     out->vmsAlive = alive_;
 }
 
@@ -188,76 +230,81 @@ FleetCluster::decideEpoch(int epoch, FleetEpoch* ep)
     for (size_t h = 0; h < H; ++h)
         hosts_[h].down = false;
 
-    for (size_t h = 0; h < H; ++h) {
-        util::Rng rng = util::Rng::stream(cfg_.seed, {kFleetChurn, h, e});
-        Host& host = hosts_[h];
+    forEachStream(
+        0, H, kEveryItem,
+        [&](size_t h) {
+            return util::Rng::stream(cfg_.seed, {kFleetChurn, h, e});
+        },
+        [&](size_t h, util::Rng& rng) {
+            Host& host = hosts_[h];
 
-        // Host fault: the host drops for this epoch and the master
-        // evacuates every resident VM (a migration when a home is
-        // found, a departure when the fleet has no room).
-        if (cfg_.hostFaultProb > 0.0 && rng.bernoulli(cfg_.hostFaultProb)) {
-            host.down = true;
-            ++ep->hostFaults;
-            while (!host.residents.empty()) {
-                uint32_t vm = host.residents.back();
-                host.residents.pop_back();
-                host.used -= vms_[vm].vcpus;
-                if (!place(vm, rng.index(H), h, true, ep)) {
-                    vms_[vm].alive = false;
-                    --alive_;
-                    ++ep->departures;
+            // Host fault: the host drops for this epoch and the master
+            // evacuates every resident VM (a migration when a home is
+            // found, a departure when the fleet has no room).
+            if (cfg_.hostFaultProb > 0.0 &&
+                rng.bernoulli(cfg_.hostFaultProb)) {
+                host.down = true;
+                ++ep->hostFaults;
+                while (!host.residents.empty()) {
+                    uint32_t vm = host.residents.back();
+                    host.residents.pop_back();
+                    host.used -= vms_[vm].vcpus;
+                    if (!place(vm, rng.index(H), h, true, ep)) {
+                        vms_[vm].alive = false;
+                        --alive_;
+                        ++ep->departures;
+                    }
                 }
+                return; // no churn draws or arrivals on a down host
             }
-            continue; // no churn draws or arrivals on a down host
-        }
 
-        // Per-VM churn: one uniform draw decides depart / migrate /
-        // stay. Swap-removal keeps the pass O(residents); the
-        // swapped-in VM gets its own draw at the same index.
-        for (size_t i = 0; i < host.residents.size();) {
-            uint32_t vm = host.residents[i];
-            double u = rng.uniform();
-            if (u < cfg_.departureProb) {
-                host.residents[i] = host.residents.back();
-                host.residents.pop_back();
-                host.used -= vms_[vm].vcpus;
-                vms_[vm].alive = false;
-                --alive_;
-                ++ep->departures;
-                continue;
-            }
-            if (u < cfg_.departureProb + cfg_.migrationProb) {
-                if (place(vm, rng.index(H), h, true, ep)) {
+            // Per-VM churn: one uniform draw decides depart / migrate /
+            // stay. Swap-removal keeps the pass O(residents); the
+            // swapped-in VM gets its own draw at the same index.
+            for (size_t i = 0; i < host.residents.size();) {
+                uint32_t vm = host.residents[i];
+                double u = rng.uniform();
+                if (u < cfg_.departureProb) {
                     host.residents[i] = host.residents.back();
                     host.residents.pop_back();
                     host.used -= vms_[vm].vcpus;
+                    vms_[vm].alive = false;
+                    --alive_;
+                    ++ep->departures;
                     continue;
                 }
+                if (u < cfg_.departureProb + cfg_.migrationProb) {
+                    if (place(vm, rng.index(H), h, true, ep)) {
+                        host.residents[i] = host.residents.back();
+                        host.residents.pop_back();
+                        host.used -= vms_[vm].vcpus;
+                        continue;
+                    }
+                }
+                ++i;
             }
-            ++i;
-        }
 
-        // Arrivals: floor(rate) guaranteed, fractional part Bernoulli.
-        int n = static_cast<int>(cfg_.arrivalsPerHostEpoch);
-        double frac = cfg_.arrivalsPerHostEpoch - n;
-        if (frac > 0.0 && rng.bernoulli(frac))
-            ++n;
-        for (int a = 0; a < n; ++a) {
-            Vm vm;
-            vm.vcpus =
-                static_cast<uint8_t>(rng.uniformInt(1, cfg_.maxVcpus));
-            vm.alive = true;
-            uint32_t id = static_cast<uint32_t>(vms_.size());
-            vms_.push_back(vm);
-            if (place(id, rng.index(H), kNone, false, nullptr)) {
-                ++alive_;
-                ++ep->arrivals;
-            } else {
-                vms_[id].alive = false;
-                ++ep->placementFailures;
+            // Arrivals: floor(rate) guaranteed, fractional part Bernoulli.
+            int n = static_cast<int>(cfg_.arrivalsPerHostEpoch);
+            double frac = cfg_.arrivalsPerHostEpoch - n;
+            if (frac > 0.0 && rng.bernoulli(frac))
+                ++n;
+            for (int a = 0; a < n; ++a) {
+                Vm vm;
+                vm.vcpus =
+                    static_cast<uint8_t>(rng.uniformInt(1, cfg_.maxVcpus));
+                vm.alive = true;
+                uint32_t id = static_cast<uint32_t>(vms_.size());
+                vms_.push_back(vm);
+                if (place(id, rng.index(H), kNone, false, nullptr)) {
+                    ++alive_;
+                    ++ep->arrivals;
+                } else {
+                    vms_[id].alive = false;
+                    ++ep->placementFailures;
+                }
             }
-        }
-    }
+        });
     ep->alive = alive_;
 }
 
@@ -272,25 +319,31 @@ FleetCluster::profileEpoch(int epoch)
         0, shards_,
         [&](size_t s) {
             auto [begin, end] = shardRange(s);
+            // A down host scores zero and derives no stream.
             for (size_t h = begin; h < end; ++h) {
-                const Host& host = hosts_[h];
-                if (host.down) {
+                if (hosts_[h].down) {
                     scores_[h] = 0.0;
                     anomaly_[h] = 0;
-                    continue;
                 }
-                util::Rng rng =
-                    util::Rng::stream(cfg_.seed, {kFleetProfile, h, e});
-                double load = 100.0 *
-                              static_cast<double>(host.used) /
-                              static_cast<double>(slots_per_host_);
-                double score = 0.0;
-                for (int k = 0; k < kProfileProbes; ++k)
-                    score += rng.clampedGaussian(load, 6.0, 0.0, 100.0);
-                score /= kProfileProbes;
-                scores_[h] = score;
-                anomaly_[h] = score > kAnomalyThreshold ? 1 : 0;
             }
+            forEachStream(
+                begin, end, [&](size_t h) { return !hosts_[h].down; },
+                [&](size_t h) {
+                    return util::Rng::stream(cfg_.seed,
+                                             {kFleetProfile, h, e});
+                },
+                [&](size_t h, util::Rng& rng) {
+                    double load = 100.0 *
+                                  static_cast<double>(hosts_[h].used) /
+                                  static_cast<double>(slots_per_host_);
+                    double score = 0.0;
+                    for (int k = 0; k < kProfileProbes; ++k)
+                        score +=
+                            rng.clampedGaussian(load, 6.0, 0.0, 100.0);
+                    score /= kProfileProbes;
+                    scores_[h] = score;
+                    anomaly_[h] = score > kAnomalyThreshold ? 1 : 0;
+                });
         },
         1);
 }

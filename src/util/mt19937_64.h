@@ -24,6 +24,14 @@ namespace util {
  *
  * Words at and past `seeded_` are never read (not even by a copy), so
  * the engine is clean under memory sanitizers by construction.
+ *
+ * Lockstep priming: a fresh engine's first draw needs seed words
+ * 1..kM, a serial chain of multiplies. seedLockstep() runs the chains
+ * of up to kLockstep fresh engines interleaved, which hides the
+ * multiply latency, and leaves each engine exactly as a lazy first
+ * draw would have: same words, same output. An engine that has already
+ * seeded past word 0 is left untouched, so priming is never required
+ * and never changes a value.
  */
 class Mt19937_64
 {
@@ -54,6 +62,39 @@ class Mt19937_64
         return *this;
     }
 
+    /** Engines seedLockstep() interleaves per call. */
+    static constexpr size_t kLockstep = 8;
+
+    /**
+     * Seed words 1..kM of the first kLockstep fresh engines among
+     * `engines[0..n)`, the chains interleaved. Any further engines stay
+     * lazy, which changes no draw either.
+     */
+    static void
+    seedLockstep(Mt19937_64* const* engines, size_t n)
+    {
+        // Lanes without a fresh engine write a local buffer that is
+        // never read, so the chain loop keeps a fixed width the
+        // compiler unrolls.
+        uint64_t spare[kM + 1];
+        uint64_t* words[kLockstep] = {};
+        uint64_t x[kLockstep] = {};
+        Mt19937_64* fresh[kLockstep] = {};
+        size_t m = 0;
+        for (size_t l = 0; l < n && m < kLockstep; ++l)
+            if (engines[l]->seeded_ == 1)
+                fresh[m++] = engines[l];
+        for (size_t l = 0; l < kLockstep; ++l) {
+            words[l] = l < m ? fresh[l]->mt_ : spare;
+            x[l] = l < m ? fresh[l]->mt_[0] : 0;
+        }
+        for (size_t i = 1; i <= kM; ++i)
+            for (size_t l = 0; l < kLockstep; ++l)
+                words[l][i] = x[l] = seedWord(x[l], i);
+        for (size_t l = 0; l < m; ++l)
+            fresh[l]->seeded_ = kM + 1;
+    }
+
     result_type
     operator()()
     {
@@ -69,6 +110,13 @@ class Mt19937_64
   private:
     static constexpr size_t kN = 312;
     static constexpr size_t kM = 156;
+
+    /** Seed word i from word i - 1 (the std::mt19937_64 initializer). */
+    static uint64_t
+    seedWord(uint64_t prev, size_t i)
+    {
+        return 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+    }
 
     /** Recurrence x[k+n] = x[k+m] ^ A((x[k] & upper) | (x[k+1] & lower)). */
     static uint64_t
@@ -91,11 +139,8 @@ class Mt19937_64
         // the middle, the already-twisted word p + m - n).
         const size_t p = ready_;
         for (const size_t need = std::min(p + kM + 1, kN); seeded_ < need;
-             ++seeded_) {
-            uint64_t prev = mt_[seeded_ - 1];
-            mt_[seeded_] = 6364136223846793005ULL * (prev ^ (prev >> 62)) +
-                           seeded_;
-        }
+             ++seeded_)
+            mt_[seeded_] = seedWord(mt_[seeded_ - 1], seeded_);
         mt_[p] = twist(mt_[p], mt_[p + 1 == kN ? 0 : p + 1],
                        mt_[p < kN - kM ? p + kM : p + kM - kN]);
         ready_ = p + 1;

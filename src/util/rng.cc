@@ -57,6 +57,19 @@ Rng::stream(uint64_t seed, std::initializer_list<uint64_t> path)
     return Rng(h);
 }
 
+void
+Rng::prime(std::span<Rng> streams)
+{
+    Mt19937_64* engines[kPrimeWidth] = {};
+    while (!streams.empty()) {
+        const size_t n = std::min(streams.size(), kPrimeWidth);
+        for (size_t l = 0; l < n; ++l)
+            engines[l] = &streams[l].engine_;
+        Mt19937_64::seedLockstep(engines, n);
+        streams = streams.subspan(n);
+    }
+}
+
 double
 Rng::uniform(double lo, double hi)
 {

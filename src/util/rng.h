@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -21,6 +22,11 @@ namespace util {
  * The engine is Mt19937_64, whose output equals std::mt19937_64 word
  * for word, so every sampler returns what the same std:: distribution
  * would return over std::mt19937_64.
+ *
+ * Loops that derive one short-lived stream per item can hand a block
+ * of fresh streams to prime(), which seeds their first-draw prefixes
+ * in lockstep. Priming is an optimization only: a primed stream draws
+ * exactly what the unprimed stream would.
  */
 class Rng
 {
@@ -54,6 +60,18 @@ class Rng
      */
     static Rng stream(uint64_t seed,
                       std::initializer_list<uint64_t> path);
+
+    /** Streams prime() seeds side by side; a block of more takes turns. */
+    static constexpr size_t kPrimeWidth = Mt19937_64::kLockstep;
+
+    /**
+     * Seed the first-draw prefix of every stream in `streams` that has
+     * not drawn yet, kPrimeWidth engines at a time with their seeding
+     * chains interleaved (Mt19937_64::seedLockstep). Streams that have
+     * drawn, or are primed already, are left untouched. No draw of any
+     * stream changes.
+     */
+    static void prime(std::span<Rng> streams);
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo = 0.0, double hi = 1.0);

@@ -10,6 +10,9 @@
  *    alive_e = alive_{e-1} + arrivals_e - departures_e and the
  *    residency audit passes after every epoch, under fault churn too
  *  - epoch-clock monotonicity under fault churn
+ *  - ragged stream blocks: a host/tenant count that is no multiple of
+ *    the eight-stream derivation block keeps its recorded digest at
+ *    1/5/7 shards x 1/8 pool threads
  *
  * The 100k-host scale lives in test_fleet_sweep (SLOW) and
  * bench/perf_fleet_scaling; nothing here should take more than a few
@@ -151,6 +154,29 @@ TEST(FleetPlacement, DefaultPolicyPreservesHistoricalDigest)
     FleetConfig cfg = smallFleet(2017);
     cfg.placement = &ring;
     EXPECT_EQ(runWith(cfg, 1, 1).digest, r.digest);
+}
+
+TEST(FleetInvariance, PartialStreamBlocksKeepRecordedDigest)
+{
+    // Both planes derive their per-item streams in blocks of eight. 53
+    // hosts and 211 tenants are not multiples of eight, so every pass
+    // ends on a partial block; 5 and 7 shards make profile-plane blocks
+    // straddle shard ends, and 10% host faults punch holes into them.
+    // The digest was recorded before the planes derived in blocks.
+    FleetConfig cfg = smallFleet(53211);
+    cfg.hosts = 53;
+    cfg.tenants = 211;
+    cfg.epochs = 5;
+    cfg.arrivalsPerHostEpoch = 0.7;
+    cfg.hostFaultProb = 0.1;
+    for (size_t shards : {1u, 5u, 7u}) {
+        for (unsigned threads : {1u, 8u}) {
+            FleetResult r = runWith(cfg, shards, threads);
+            EXPECT_EQ(r.digest, 0x8eda355d0a64e966ull)
+                << "shards " << shards << " threads " << threads;
+            EXPECT_GT(r.hostFaults, 0u);
+        }
+    }
 }
 
 namespace {

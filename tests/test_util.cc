@@ -260,6 +260,117 @@ TEST(Rng, CopyMidStreamContinuesLikeOracle)
     }
 }
 
+namespace {
+
+/** Draw counts around the lazy-state boundaries of Mt19937_64. */
+constexpr int kPrimeDrawCounts[] = {0,   1,   2,   155, 156, 157,
+                                    158, 311, 312, 313, 1000};
+
+/** Lane l of a block of n streams on a 2- or 3-coordinate path. */
+uint64_t
+laneSeed(uint64_t root, size_t n, int k, size_t l, bool three)
+{
+    return (three ? Rng::stream(root, {n, static_cast<uint64_t>(k), l})
+                  : Rng::stream(root, {n, l}))
+        .seed();
+}
+
+/** Every sampler once on each stream; the results must agree. */
+void
+expectSamplersAgree(Rng& got, Rng& want)
+{
+    const std::vector<double> weights = {0.5, 0.0, 2.0, 1.25, 0.25};
+    ASSERT_EQ(got.uniform(-3.0, 7.5), want.uniform(-3.0, 7.5));
+    ASSERT_EQ(got.uniformInt(-5, 1000), want.uniformInt(-5, 1000));
+    ASSERT_EQ(got.gaussian(2.0, 0.5), want.gaussian(2.0, 0.5));
+    ASSERT_EQ(got.clampedGaussian(50.0, 30.0, 0.0, 100.0),
+              want.clampedGaussian(50.0, 30.0, 0.0, 100.0));
+    ASSERT_EQ(got.bernoulli(0.3), want.bernoulli(0.3));
+    ASSERT_EQ(got.exponential(4.0), want.exponential(4.0));
+    ASSERT_EQ(got.lognormal(3.0, 0.4), want.lognormal(3.0, 0.4));
+    ASSERT_EQ(got.index(17), want.index(17));
+    ASSERT_EQ(got.weightedIndex(weights), want.weightedIndex(weights));
+    ASSERT_EQ(got.permutation(9), want.permutation(9));
+}
+
+} // namespace
+
+TEST(Rng, PrimedStreamsMatchUnprimed)
+{
+    // Raw words: every block width, random roots, 2- and 3-coordinate
+    // paths. Odd lanes draw k words first, so each block mixes fresh
+    // lanes (primed) with drawn ones (left alone); each block is primed
+    // twice, and a copy taken right after priming must continue like
+    // the original.
+    for (uint64_t trial = 0; trial < 8; ++trial) {
+        const uint64_t root = Rng::stream(0x9121E, {trial}).seed();
+        const bool three = trial % 2 == 1;
+        for (size_t n = 1; n <= Mt19937_64::kLockstep; ++n) {
+            for (int k : kPrimeDrawCounts) {
+                SCOPED_TRACE(::testing::Message()
+                             << "trial " << trial << " n " << n << " k "
+                             << k);
+                std::vector<Mt19937_64> got, want;
+                for (size_t l = 0; l < n; ++l) {
+                    got.emplace_back(laneSeed(root, n, k, l, three));
+                    want.emplace_back(laneSeed(root, n, k, l, three));
+                }
+                for (size_t l = 1; l < n; l += 2)
+                    for (int i = 0; i < k; ++i)
+                        ASSERT_EQ(got[l](), want[l]());
+                std::vector<Mt19937_64*> lanes;
+                for (Mt19937_64& e : got)
+                    lanes.push_back(&e);
+                Mt19937_64::seedLockstep(lanes.data(), n);
+                Mt19937_64::seedLockstep(lanes.data(), n);
+                Mt19937_64 copy = got[n - 1];
+                Mt19937_64 copyWant = want[n - 1];
+                for (size_t l = 0; l < n; ++l)
+                    for (int i = 0; i < 1000; ++i)
+                        ASSERT_EQ(got[l](), want[l]())
+                            << "lane " << l << " word " << i;
+                for (int i = 0; i < 1000; ++i)
+                    ASSERT_EQ(copy(), copyWant()) << "copy word " << i;
+            }
+        }
+    }
+
+    // Samplers through Rng::prime, including blocks wider than one
+    // lockstep pass: prime, copy, draw k, prime again, then every
+    // sampler.
+    for (uint64_t trial = 0; trial < 4; ++trial) {
+        const uint64_t root = Rng::stream(0x5A3E, {trial}).seed();
+        const bool three = trial % 2 == 1;
+        for (size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 17u}) {
+            for (int k : kPrimeDrawCounts) {
+                SCOPED_TRACE(::testing::Message()
+                             << "trial " << trial << " n " << n << " k "
+                             << k);
+                std::vector<Rng> got, want;
+                for (size_t l = 0; l < n; ++l) {
+                    got.push_back(Rng(laneSeed(root, n, k, l, three)));
+                    want.push_back(Rng(laneSeed(root, n, k, l, three)));
+                }
+                Rng::prime(got);
+                Rng copy = got[0];
+                Rng copyWant = want[0];
+                for (size_t l = 0; l < n; ++l)
+                    for (int i = 0; i < k; ++i)
+                        ASSERT_EQ(got[l].uniform(), want[l].uniform())
+                            << "lane " << l << " draw " << i;
+                Rng::prime(got);
+                for (size_t l = 0; l < n; ++l)
+                    ASSERT_NO_FATAL_FAILURE(
+                        expectSamplersAgree(got[l], want[l]))
+                        << "lane " << l;
+                for (int i = 0; i < k; ++i)
+                    ASSERT_EQ(copy.uniform(), copyWant.uniform());
+                ASSERT_NO_FATAL_FAILURE(expectSamplersAgree(copy, copyWant));
+            }
+        }
+    }
+}
+
 TEST(Summary, BasicMoments)
 {
     Summary s;
