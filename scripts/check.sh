@@ -67,7 +67,13 @@
 # the Avx2 backend and compares the results bit for bit. On hardware
 # without AVX2 the backend comparisons skip.
 #
-# Usage: scripts/check.sh [--plain-only|--tsan-only|--asan-only|--obs|--fault|--serve|--scenario [--update]|--telemetry|--fleet [--update]|--armsrace [--update]|--simd|--bench-only]
+# The --tsan-fleet stage is a narrow ThreadSanitizer gate for the
+# cross-thread stream handoff of the fleet decision planes: a TSan
+# build of the util and fleet test binaries, then the ThreadPool,
+# Rng/Mt19937_64 and Fleet suites (the 100k-host FleetSweep suite stays
+# with the whole-suite --tsan-only run).
+#
+# Usage: scripts/check.sh [--plain-only|--tsan-only|--tsan-fleet|--asan-only|--obs|--fault|--serve|--scenario [--update]|--telemetry|--fleet [--update]|--armsrace [--update]|--simd|--bench-only]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -92,6 +98,16 @@ fi
 if [[ "${mode}" == "--tsan-only" || "${mode}" == "all" ]]; then
     # TSan slows execution ~5-15x; the suite still finishes in minutes.
     run_config build-tsan -DBOLT_SANITIZE=thread
+fi
+
+if [[ "${mode}" == "--tsan-fleet" ]]; then
+    echo "== ThreadSanitizer gate: thread pool, RNG and fleet suites =="
+    cmake -B build-tsan -S . -DBOLT_SANITIZE=thread
+    cmake --build build-tsan -j "$(nproc)" --target test_util test_fleet
+    ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
+        --no-tests=error -R '^(ThreadPool|Rng|Mt19937_64|Fleet[A-Za-z]*)\.' \
+        -E '^FleetSweep\.'
+    echo "TSan fleet gate passed."
 fi
 
 if [[ "${mode}" == "--asan-only" || "${mode}" == "all" ]]; then

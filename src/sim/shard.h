@@ -156,7 +156,16 @@ struct FleetResult
  *    global clock and fixes every cross-shard event — VM arrivals and
  *    their placements, departures, migrations, host faults and the
  *    resulting evacuations — walking hosts in global index order with
- *    one Rng::stream(seed, {kFleetChurn, host, epoch}) per host.
+ *    one Rng::stream(seed, {kFleetChurn, host, epoch}) per host. Boot
+ *    placement is decision-plane work too, one stream per tenant.
+ *    The decisions stay on one thread, in item order; only the
+ *    preparation of their streams runs a chunk ahead on the pool.
+ *    Pool tasks derive, prime and twist the first engine words of the
+ *    next chunk's streams, and the decision thread rebuilds each stream
+ *    from its seed and those words (Rng::fromPrefix), so it draws
+ *    exactly what the stream itself would. Blocks no task has
+ *    started yet, and every block on a one-thread pool, the decision
+ *    thread derives in place.
  *  - The EXECUTION plane then profiles every host in parallel, one
  *    thread-pool task per shard, each host on its own
  *    Rng::stream(seed, {kFleetProfile, host, epoch}) writing only its

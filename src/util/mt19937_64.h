@@ -32,6 +32,17 @@ namespace util {
  * draw would have: same words, same output. An engine that has already
  * seeded past word 0 is left untouched, so priming is never required
  * and never changes a value.
+ *
+ * Prefixes: twistPrefix() copies out the first k first-generation
+ * state words (twisted, not yet tempered) of an engine, and
+ * adoptPrefix() makes an engine from its seed and such a prefix. The
+ * adopted engine draws exactly what the source would: its first k
+ * draws temper the given words, and the first refill past them
+ * rebuilds the seed chain from `seed` up to word k and continues as a
+ * lazy engine. The words are copied in, so no pointer to the caller's
+ * buffer is kept and a copy of the engine stays valid on its own. Draws
+ * keep their single `next_ >= ready_` test; the rebuild lives in the
+ * cold refill().
  */
 class Mt19937_64
 {
@@ -44,7 +55,10 @@ class Mt19937_64
         return std::numeric_limits<result_type>::max();
     }
 
-    explicit Mt19937_64(uint64_t seed) { mt_[0] = seed; }
+    explicit Mt19937_64(uint64_t seed) : seed_(seed) { mt_[0] = seed; }
+
+    /** The seed: word 0 of the seed chain. */
+    uint64_t seed() const { return seed_; }
 
     // noexcept keeps the implicit moves of enclosing types noexcept, so
     // std::vector relocates them instead of deep-copying their members.
@@ -59,8 +73,12 @@ class Mt19937_64
         next_ = o.next_;
         ready_ = o.ready_;
         seeded_ = o.seeded_;
+        seed_ = o.seed_;
         return *this;
     }
+
+    /** State words per generation; the longest prefix. */
+    static constexpr size_t kStateWords = 312;
 
     /** Engines seedLockstep() interleaves per call. */
     static constexpr size_t kLockstep = 8;
@@ -95,6 +113,34 @@ class Mt19937_64
             fresh[l]->seeded_ = kM + 1;
     }
 
+    /**
+     * Write the first k (<= kStateWords) first-generation state words
+     * to out, twisting those not twisted yet. Only for an engine still
+     * in its first generation; no draw of it changes.
+     */
+    void
+    twistPrefix(uint64_t* out, size_t k)
+    {
+        while (ready_ < k)
+            refill();
+        std::copy_n(mt_, k, out);
+    }
+
+    /**
+     * Become the engine seeded with `seed`, positioned before its first
+     * draw, whose first k (<= kStateWords) first-generation state words
+     * are words[0..k) as twistPrefix() wrote them.
+     */
+    void
+    adoptPrefix(uint64_t seed, const uint64_t* words, size_t k)
+    {
+        std::copy_n(words, k, mt_);
+        seed_ = seed;
+        next_ = 0;
+        ready_ = k;
+        seeded_ = k;
+    }
+
     result_type
     operator()()
     {
@@ -108,7 +154,7 @@ class Mt19937_64
     }
 
   private:
-    static constexpr size_t kN = 312;
+    static constexpr size_t kN = kStateWords;
     static constexpr size_t kM = 156;
 
     /** Seed word i from word i - 1 (the std::mt19937_64 initializer). */
@@ -138,6 +184,15 @@ class Mt19937_64
         // bulk twist would, reading seed words p + 1 and p + m (or, past
         // the middle, the already-twisted word p + m - n).
         const size_t p = ready_;
+        if (seeded_ == p) {
+            // Past an adopted prefix: words [0, p) are twisted output,
+            // so seed word p is rebuilt from the seed.
+            uint64_t x = seed_;
+            for (size_t i = 1; i <= p; ++i)
+                x = seedWord(x, i);
+            mt_[p] = x;
+            seeded_ = p + 1;
+        }
         for (const size_t need = std::min(p + kM + 1, kN); seeded_ < need;
              ++seeded_)
             mt_[seeded_] = seedWord(mt_[seeded_ - 1], seeded_);
@@ -162,8 +217,13 @@ class Mt19937_64
     size_t next_ = 0;
     /** Words [0, ready_) hold the current generation's output. */
     size_t ready_ = 0;
-    /** Words [0, seeded_) are initialized; the rest are never read. */
+    /**
+     * Words [0, seeded_) are initialized; the rest are never read. In
+     * the first generation seeded_ > ready_, except right after
+     * adoptPrefix(), where seeded_ == ready_ marks the missing chain.
+     */
     size_t seeded_ = 1;
+    uint64_t seed_;
 };
 
 } // namespace util

@@ -38,7 +38,7 @@ splitmix64(uint64_t x)
 Rng
 Rng::substream(std::string_view label, uint64_t index) const
 {
-    uint64_t mixed = splitmix64(seed_ ^ fnv1a(label) ^ splitmix64(index));
+    uint64_t mixed = splitmix64(seed() ^ fnv1a(label) ^ splitmix64(index));
     return Rng(mixed);
 }
 

@@ -27,15 +27,23 @@ namespace util {
  * of fresh streams to prime(), which seeds their first-draw prefixes
  * in lockstep. Priming is an optimization only: a primed stream draws
  * exactly what the unprimed stream would.
+ *
+ * A stream's opening can also be prepared on one thread and drawn on
+ * another without handing over the 2.5 KB stream: twistPrefix() writes
+ * its first k engine words (8 bytes each) and fromPrefix() rebuilds the
+ * stream from its seed and those words. The rebuilt stream draws
+ * exactly what the original would, for any number of draws: the first
+ * k words come from the prefix, and the engine rebuilds its seeding
+ * chain when it runs past them (Mt19937_64::adoptPrefix).
  */
 class Rng
 {
   public:
     /** Construct from a 64-bit seed. */
-    explicit Rng(uint64_t seed = 0x5DEECE66DULL) : engine_(seed), seed_(seed) {}
+    explicit Rng(uint64_t seed = 0x5DEECE66DULL) : engine_(seed) {}
 
     /** The seed this stream was created with. */
-    uint64_t seed() const { return seed_; }
+    uint64_t seed() const { return engine_.seed(); }
 
     /**
      * Derive an independent substream keyed by a label.
@@ -72,6 +80,28 @@ class Rng
      * stream changes.
      */
     static void prime(std::span<Rng> streams);
+
+    /**
+     * Write this stream's first out.size() engine words to `out`, at
+     * most Mt19937_64::kStateWords. Only for a stream that has drawn
+     * fewer than that many words; no draw of it changes.
+     */
+    void twistPrefix(std::span<uint64_t> out)
+    {
+        engine_.twistPrefix(out.data(), out.size());
+    }
+
+    /**
+     * The stream created with `seed`, before its first draw, given the
+     * words its twistPrefix() wrote. It keeps no pointer to `words`.
+     */
+    static Rng
+    fromPrefix(uint64_t seed, std::span<const uint64_t> words)
+    {
+        Rng r(seed);
+        r.engine_.adoptPrefix(seed, words.data(), words.size());
+        return r;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo = 0.0, double hi = 1.0);
@@ -123,7 +153,6 @@ class Rng
 
   private:
     Mt19937_64 engine_;
-    uint64_t seed_;
 };
 
 } // namespace util

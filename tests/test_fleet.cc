@@ -13,6 +13,10 @@
  *  - ragged stream blocks: a host/tenant count that is no multiple of
  *    the eight-stream derivation block keeps its recorded digest at
  *    1/5/7 shards x 1/8 pool threads
+ *  - prepared stream prefixes: a heavy-churn fleet whose host-epochs
+ *    mostly draw past the prepared churn prefix keeps its recorded
+ *    digest, and more concurrent runs than pool workers, nested in a
+ *    parallelFor, neither hang nor change a digest
  *
  * The 100k-host scale lives in test_fleet_sweep (SLOW) and
  * bench/perf_fleet_scaling; nothing here should take more than a few
@@ -177,6 +181,72 @@ TEST(FleetInvariance, PartialStreamBlocksKeepRecordedDigest)
             EXPECT_GT(r.hostFaults, 0u);
         }
     }
+}
+
+TEST(FleetInvariance, PrefixOverflowKeepsRecordedDigest)
+{
+    // The churn plane prepares the first 24 engine words of each
+    // host-epoch's stream. With 64-slot hosts, VMs of 1-8 vCPUs, 4.5
+    // arrivals per host-epoch and heavy departure and migration, about
+    // 90% of host-epochs draw past those words and go on from a rebuilt
+    // seeding chain. 1100 hosts and 9000 tenants end on ragged prefix
+    // chunks. The digest was recorded before the decision planes used
+    // prepared prefixes.
+    FleetConfig cfg;
+    cfg.hosts = 1100;
+    cfg.tenants = 9000;
+    cfg.epochs = 4;
+    cfg.cores = 32;
+    cfg.threadsPerCore = 2;
+    cfg.maxVcpus = 8;
+    cfg.arrivalsPerHostEpoch = 4.5;
+    cfg.departureProb = 0.25;
+    cfg.migrationProb = 0.45;
+    cfg.hostFaultProb = 0.05;
+    cfg.seed = 8128;
+    for (size_t shards : {1u, 3u}) {
+        for (unsigned threads : {1u, 2u, 8u}) {
+            FleetResult r = runWith(cfg, shards, threads);
+            EXPECT_EQ(r.digest, 0xd921820369625e83ull)
+                << "shards " << shards << " threads " << threads;
+            EXPECT_EQ(r.migrations, 28581u);
+            EXPECT_GT(r.hostFaults, 0u);
+        }
+    }
+}
+
+TEST(FleetInvariance, NestedRunsMatchTheirSerialDigests)
+{
+    // run() prepares stream prefixes on the global pool, and may itself
+    // run inside a pool task. More concurrent runs than pool workers,
+    // each spanning several prefix chunks, must neither hang nor move a
+    // digest, at any pool width.
+    using util::seeds::derivedSeed;
+    constexpr size_t kRuns = 17;
+    auto config = [](size_t i) {
+        FleetConfig cfg = smallFleet(derivedSeed(2017, 0x4E57ED, i));
+        cfg.hosts = 1500 + 97 * i;
+        cfg.tenants = 3 * cfg.hosts;
+        cfg.epochs = 3;
+        cfg.shards = 1 + i % 4;
+        return cfg;
+    };
+    util::ThreadPool::setGlobalThreads(1);
+    std::vector<uint64_t> serial(kRuns);
+    for (size_t i = 0; i < kRuns; ++i)
+        serial[i] = FleetCluster(config(i)).run().digest;
+    for (unsigned threads : {1u, 2u, 8u}) {
+        util::ThreadPool::setGlobalThreads(threads);
+        std::vector<uint64_t> nested(kRuns, 0);
+        util::parallelFor(
+            0, kRuns,
+            [&](size_t i) { nested[i] = FleetCluster(config(i)).run().digest; },
+            1);
+        for (size_t i = 0; i < kRuns; ++i)
+            EXPECT_EQ(nested[i], serial[i])
+                << "run " << i << " threads " << threads;
+    }
+    util::ThreadPool::setGlobalThreads(0);
 }
 
 namespace {

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <numeric>
 #include <random>
+#include <span>
 #include <sstream>
 #include <type_traits>
 
@@ -368,6 +369,89 @@ TEST(Rng, PrimedStreamsMatchUnprimed)
                 ASSERT_NO_FATAL_FAILURE(expectSamplersAgree(copy, copyWant));
             }
         }
+    }
+}
+
+TEST(Rng, AdoptedPrefixMatchesFreshStream)
+{
+    // A stream rebuilt by fromPrefix() from its seed and its first k
+    // words must draw exactly what a fresh Rng::stream draws: inside
+    // the prefix, across its end, through the rest of the first
+    // generation and across bulk twists. Half the sources are primed
+    // first (the fleet planes prime and then twist), and the source
+    // itself must draw on unchanged after handing out its prefix.
+    constexpr int kDrawsAfter = 1000;
+    for (size_t k : {1u, 2u, 4u, 23u, 24u}) {
+        const int ki = static_cast<int>(k);
+        for (int d : {0, 1, ki - 1, ki, ki + 1, 156, 157, 312, 313, 1000}) {
+            for (uint64_t trial = 0; trial < 4; ++trial) {
+                SCOPED_TRACE(::testing::Message()
+                             << "k " << k << " d " << d << " trial "
+                             << trial);
+                auto fresh = [&] {
+                    return Rng::stream(0xAD0B7,
+                                       {k, static_cast<uint64_t>(d), trial});
+                };
+                Rng source = fresh();
+                if (trial % 2 == 1)
+                    Rng::prime(std::span(&source, 1));
+                std::vector<uint64_t> words(k);
+                source.twistPrefix(words);
+                Rng adopted = Rng::fromPrefix(source.seed(), words);
+                words.assign(k, 0); // the stream keeps no pointer
+                Rng want = fresh();
+                Rng sourceWant = fresh();
+                ASSERT_EQ(adopted.seed(), want.seed());
+
+                // A copy taken before any draw, and one taken after d
+                // draws: before, at or past the end of the prefix.
+                Rng before = adopted;
+                Rng beforeWant = fresh();
+                for (int i = 0; i < d; ++i)
+                    ASSERT_EQ(adopted.uniform(), want.uniform())
+                        << "draw " << i;
+                Rng after = adopted;
+                Rng afterWant = want;
+                for (int i = 0; i < kDrawsAfter; ++i)
+                    ASSERT_EQ(adopted.uniform(), want.uniform())
+                        << "draw " << d + i;
+                ASSERT_NO_FATAL_FAILURE(expectSamplersAgree(adopted, want));
+                for (int i = 0; i < d + kDrawsAfter; ++i)
+                    ASSERT_EQ(before.uniform(), beforeWant.uniform())
+                        << "copy before, draw " << i;
+                ASSERT_NO_FATAL_FAILURE(
+                    expectSamplersAgree(after, afterWant));
+                for (int i = 0; i < d + kDrawsAfter; ++i)
+                    ASSERT_EQ(source.uniform(), sourceWant.uniform())
+                        << "source draw " << i;
+            }
+        }
+    }
+
+    // Every sampler straight after adoption, so that multi-word draws
+    // straddle the end of short prefixes; raw engine words against the
+    // std::mt19937_64 oracle for every prefix length up to a full
+    // generation.
+    for (size_t k : {1u, 2u, 4u, 23u, 24u}) {
+        Rng source = Rng::stream(0x5A3E, {k});
+        std::vector<uint64_t> words(k);
+        source.twistPrefix(words);
+        Rng adopted = Rng::fromPrefix(source.seed(), words);
+        Rng want = Rng::stream(0x5A3E, {k});
+        for (int round = 0; round < 30; ++round)
+            ASSERT_NO_FATAL_FAILURE(expectSamplersAgree(adopted, want))
+                << "k " << k << " round " << round;
+    }
+    for (size_t k = 0; k <= Mt19937_64::kStateWords; ++k) {
+        const uint64_t seed = Rng::stream(0x0AC1E, {k}).seed();
+        Mt19937_64 source(seed);
+        std::vector<uint64_t> words(k);
+        source.twistPrefix(words.data(), k);
+        Mt19937_64 adopted(~seed);
+        adopted.adoptPrefix(seed, words.data(), k);
+        std::mt19937_64 oracle(seed);
+        for (int i = 0; i < 700; ++i)
+            ASSERT_EQ(adopted(), oracle()) << "k " << k << " word " << i;
     }
 }
 
