@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <functional>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
 #include <thread>
@@ -239,6 +241,102 @@ forEachPrepared(size_t n, size_t words, Derive derive, Body body)
         }
     }
 }
+
+/**
+ * Runs item(i) for every i in [0, n), n >= 1, then done() once, on
+ * the pool while the caller goes on with other work; join() and the
+ * destructor return once done() has run.
+ *
+ * Items are claimed through one counter. min(workers, n) chains each
+ * run one item and then, while unclaimed items remain, submit their
+ * successor, so at most one task per chain waits in a queue and other
+ * pool work interleaves with the items. join() claims and runs every
+ * item no task has started, so it waits only on items that running
+ * tasks hold: it is safe inside a pool task, and a one-thread pool
+ * submits nothing and runs every item in join(). done() runs on
+ * whichever thread finishes the last item. The state is shared with
+ * the tasks, so a task that starts after the job is complete finds
+ * nothing to claim and exits without calling item. item and done must
+ * not throw.
+ */
+class BackgroundJob
+{
+  public:
+    BackgroundJob(size_t n, std::function<void(size_t)> item,
+                  std::function<void()> done)
+        : state_(std::make_shared<State>(n, std::move(item), std::move(done)))
+    {
+        util::ThreadPool& pool = util::ThreadPool::global();
+        // Like parallelFor, a one-thread pool runs nothing on the side.
+        const size_t workers =
+            pool.threadCount() > 1 ? pool.threadCount() : 0;
+        for (size_t t = std::min(workers, n); t > 0; --t)
+            chain(pool, state_);
+    }
+
+    ~BackgroundJob() { join(); }
+
+    BackgroundJob(const BackgroundJob&) = delete;
+    BackgroundJob& operator=(const BackgroundJob&) = delete;
+
+    void
+    join()
+    {
+        while (state_->runNext()) {
+        }
+        while (!state_->complete.load(std::memory_order_acquire))
+            std::this_thread::yield();
+    }
+
+  private:
+    struct State
+    {
+        State(size_t n, std::function<void(size_t)> item,
+              std::function<void()> done)
+            : n(n), item(std::move(item)), done(std::move(done))
+        {
+        }
+
+        /** Claim and run one item; false when none was left. */
+        bool
+        runNext()
+        {
+            size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                return false;
+            item(i);
+            if (finished.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
+                done();
+                complete.store(true, std::memory_order_release);
+            }
+            return true;
+        }
+
+        bool
+        unclaimed() const
+        {
+            return next.load(std::memory_order_relaxed) < n;
+        }
+
+        const size_t n;
+        const std::function<void(size_t)> item;
+        const std::function<void()> done;
+        std::atomic<size_t> next{0};
+        std::atomic<size_t> finished{0};
+        std::atomic<bool> complete{false};
+    };
+
+    static void
+    chain(util::ThreadPool& pool, std::shared_ptr<State> state)
+    {
+        pool.submit([&pool, state] {
+            if (state->runNext() && state->unclaimed())
+                chain(pool, state);
+        });
+    }
+
+    std::shared_ptr<State> state_;
+};
 
 } // namespace
 
@@ -487,47 +585,52 @@ FleetCluster::decideEpoch(int epoch, FleetEpoch* ep)
 }
 
 void
-FleetCluster::profileEpoch(int epoch)
+FleetCluster::takeSnapshot(HostSnapshot* snap) const
 {
+    for (size_t h = 0; h < hosts_.size(); ++h) {
+        const Host& host = hosts_[h];
+        snap->used[h] = host.used;
+        snap->residents[h] = static_cast<uint32_t>(host.residents.size());
+        snap->down[h] = host.down ? 1 : 0;
+    }
+}
+
+void
+FleetCluster::profileShard(size_t shard, int epoch,
+                           const HostSnapshot& snap)
+{
+    // A node tracker scans only its own hosts and writes only their
+    // slots, on streams keyed by (host, epoch) — so neither the shard
+    // count nor the thread count can change a slot.
     const uint64_t e = static_cast<uint64_t>(epoch);
-    // One task per shard: a node tracker scans only its own hosts and
-    // writes only their slots, on streams keyed by (host, epoch) — so
-    // neither the shard count nor the thread count can change a slot.
-    util::parallelFor(
-        0, shards_,
-        [&](size_t s) {
-            auto [begin, end] = shardRange(s);
-            // A down host scores zero and derives no stream.
-            for (size_t h = begin; h < end; ++h) {
-                if (hosts_[h].down) {
-                    scores_[h] = 0.0;
-                    anomaly_[h] = 0;
-                }
-            }
-            forEachStream(
-                begin, end, [&](size_t h) { return !hosts_[h].down; },
-                [&](size_t h) {
-                    return util::Rng::stream(cfg_.seed,
-                                             {kFleetProfile, h, e});
-                },
-                [&](size_t h, util::Rng& rng) {
-                    double load = 100.0 *
-                                  static_cast<double>(hosts_[h].used) /
-                                  static_cast<double>(slots_per_host_);
-                    double score = 0.0;
-                    for (int k = 0; k < kProfileProbes; ++k)
-                        score +=
-                            rng.clampedGaussian(load, 6.0, 0.0, 100.0);
-                    score /= kProfileProbes;
-                    scores_[h] = score;
-                    anomaly_[h] = score > kAnomalyThreshold ? 1 : 0;
-                });
+    auto [begin, end] = shardRange(shard);
+    // A down host scores zero and derives no stream.
+    for (size_t h = begin; h < end; ++h) {
+        if (snap.down[h]) {
+            scores_[h] = 0.0;
+            anomaly_[h] = 0;
+        }
+    }
+    forEachStream(
+        begin, end, [&](size_t h) { return !snap.down[h]; },
+        [&](size_t h) {
+            return util::Rng::stream(cfg_.seed, {kFleetProfile, h, e});
         },
-        1);
+        [&](size_t h, util::Rng& rng) {
+            double load = 100.0 * static_cast<double>(snap.used[h]) /
+                          static_cast<double>(slots_per_host_);
+            double score = 0.0;
+            for (int k = 0; k < kProfileProbes; ++k)
+                score += rng.clampedGaussian(load, 6.0, 0.0, 100.0);
+            score /= kProfileProbes;
+            scores_[h] = score;
+            anomaly_[h] = score > kAnomalyThreshold ? 1 : 0;
+        });
 }
 
 uint64_t
-FleetCluster::epochDigest(int epoch, const FleetEpoch& ep) const
+FleetCluster::epochDigest(int epoch, const FleetEpoch& ep,
+                          const HostSnapshot& snap) const
 {
     // Folded sequentially in global host order over decision-plane
     // state and execution-plane output slots. crossShard stays out:
@@ -542,10 +645,9 @@ FleetCluster::epochDigest(int epoch, const FleetEpoch& ep) const
     d.u64(ep.hostFaults);
     d.u64(ep.placementFailures);
     for (size_t h = 0; h < hosts_.size(); ++h) {
-        const Host& host = hosts_[h];
-        d.u64(host.used);
-        d.u64(host.residents.size());
-        d.u8(host.down ? 1 : 0);
+        d.u64(snap.used[h]);
+        d.u64(snap.residents[h]);
+        d.u8(snap.down[h]);
         d.f64(scores_[h]);
         d.u8(anomaly_[h]);
     }
@@ -579,27 +681,22 @@ FleetCluster::run()
         }
     }
 
-    double t = 0.0;
-    out.epochs.reserve(static_cast<size_t>(cfg_.epochs));
-    for (int e = 0; e < cfg_.epochs; ++e) {
-        FleetEpoch ep;
-        decideEpoch(e, &ep);
-        profileEpoch(e);
-
-        t += cfg_.epochSec;
-        ep.t = t;
-        uint64_t used = 0, anomalies = 0;
-        for (size_t h = 0; h < hosts_.size(); ++h) {
-            used += hosts_[h].used;
-            anomalies += anomaly_[h];
-        }
-        ep.meanUtil =
-            100.0 * static_cast<double>(used) /
-            (static_cast<double>(hosts_.size()) *
-             static_cast<double>(slots_per_host_));
-        ep.anomalyRate = static_cast<double>(anomalies) /
-                         static_cast<double>(hosts_.size());
-        ep.digest = epochDigest(e, ep);
+    // Rolls an epoch up once its execution plane has joined. Everything
+    // it reads of the hosts comes from the snapshot, which still holds
+    // that epoch while the next one is being decided.
+    const size_t H = hosts_.size();
+    HostSnapshot snap{std::vector<uint32_t>(H), std::vector<uint32_t>(H),
+                      std::vector<uint8_t>(H)};
+    auto rollUp = [&](FleetEpoch ep) {
+        uint64_t used =
+            std::accumulate(snap.used.begin(), snap.used.end(), uint64_t{0});
+        uint64_t anomalies = std::accumulate(anomaly_.begin(), anomaly_.end(),
+                                             uint64_t{0});
+        ep.meanUtil = 100.0 * static_cast<double>(used) /
+                      (static_cast<double>(H) *
+                       static_cast<double>(slots_per_host_));
+        ep.anomalyRate =
+            static_cast<double>(anomalies) / static_cast<double>(H);
         d.u64(ep.digest);
 
         out.arrivals += ep.arrivals;
@@ -609,24 +706,15 @@ FleetCluster::run()
         out.hostFaults += ep.hostFaults;
         out.placementFailures += ep.placementFailures;
 
-        if (cfg_.validateEpochs && out.consistent) {
-            std::string why;
-            if (!validate(&why)) {
-                out.consistent = false;
-                out.inconsistency =
-                    "epoch " + std::to_string(e) + ": " + why;
-            }
-        }
-
         // Decision-plane telemetry: the global epoch roll-up plus the
         // per-shard occupancy series (labeled s<shard>).
         telemetry.sample(obs::SeriesId::kFleetUtil, ep.t, ep.meanUtil);
         if (telemetry.enabled()) {
             for (size_t s = 0; s < shards_; ++s) {
                 auto [begin, end] = shardRange(s);
-                uint64_t shard_used = 0;
-                for (size_t h = begin; h < end; ++h)
-                    shard_used += hosts_[h].used;
+                uint64_t shard_used =
+                    std::accumulate(snap.used.begin() + begin,
+                                    snap.used.begin() + end, uint64_t{0});
                 double shard_util =
                     end == begin
                         ? 0.0
@@ -655,7 +743,46 @@ FleetCluster::run()
                          static_cast<double>(ep.alive));
 
         out.epochs.push_back(ep);
+    };
+
+    double t = 0.0;
+    out.epochs.reserve(static_cast<size_t>(cfg_.epochs));
+    // The epoch whose execution plane is in flight. The job reads the
+    // snapshot and writes inflight.digest; both outlive it, so a
+    // decision that throws unwinds through the job's join first.
+    FleetEpoch inflight;
+    std::unique_ptr<BackgroundJob> job;
+    auto land = [&] {
+        if (!job)
+            return;
+        job.reset();
+        rollUp(inflight);
+    };
+    for (int e = 0; e < cfg_.epochs; ++e) {
+        FleetEpoch ep;
+        decideEpoch(e, &ep);
+        t += cfg_.epochSec;
+        ep.t = t;
+        if (cfg_.validateEpochs && out.consistent) {
+            std::string why;
+            if (!validate(&why)) {
+                out.consistent = false;
+                out.inconsistency =
+                    "epoch " + std::to_string(e) + ": " + why;
+            }
+        }
+
+        land();
+        takeSnapshot(&snap);
+        inflight = ep;
+        job = std::make_unique<BackgroundJob>(
+            shards_,
+            [this, e, &snap](size_t s) { profileShard(s, e, snap); },
+            [this, e, &snap, &inflight] {
+                inflight.digest = epochDigest(e, inflight, snap);
+            });
     }
+    land();
 
     out.digest = d.h;
     out.simSeconds = t;

@@ -166,14 +166,22 @@ struct FleetResult
  *    exactly what the stream itself would. Blocks no task has
  *    started yet, and every block on a one-thread pool, the decision
  *    thread derives in place.
- *  - The EXECUTION plane then profiles every host in parallel, one
- *    thread-pool task per shard, each host on its own
+ *  - The EXECUTION plane profiles every host, one shard at a time on
+ *    the pool, each host on its own
  *    Rng::stream(seed, {kFleetProfile, host, epoch}) writing only its
  *    own output slot (the ytsaurus master/node split, loosely: the
  *    master fixes placement, node trackers scan their own hosts).
  *
- * Because decisions are fixed before the fan-out and execution state is
- * slot-addressed per host, the epoch digest folded in global host
+ * The two planes form a pipeline. After deciding epoch e the decision
+ * thread copies each host's used slots, resident count and fault flag
+ * into a snapshot and hands epoch e's shards to the pool; the shards
+ * read only the snapshot, and whoever finishes the last one folds the
+ * epoch digest. The decision thread goes straight on to decide epoch
+ * e + 1, then joins epoch e, running itself every shard no task has
+ * started, and rolls epoch e up from the snapshot, in epoch order.
+ *
+ * Because decisions are fixed before the snapshot and execution state
+ * is slot-addressed per host, the epoch digest folded in global host
  * order is byte-identical at any shard count x thread count; shards
  * only affect wall-clock speed and the crossShard statistic (whether a
  * migration happened to cross a partition boundary).
@@ -223,7 +231,9 @@ class FleetCluster
 
     /**
      * Boot the fleet and run cfg.epochs epochs. One-shot: the cluster
-     * keeps its end-of-run state afterwards for inspection.
+     * keeps its end-of-run state afterwards for inspection. If the
+     * placement policy throws, run() finishes the epoch in flight on
+     * the pool before the exception leaves it.
      */
     FleetResult run();
 
@@ -242,13 +252,28 @@ class FleetCluster
         bool alive = false;
     };
 
+    /**
+     * The per-host decision state the execution plane and the epoch
+     * roll-up read, copied after an epoch's decisions so the next
+     * epoch can be decided while they run.
+     */
+    struct HostSnapshot
+    {
+        std::vector<uint32_t> used;
+        std::vector<uint32_t> residents; ///< Resident VM counts.
+        std::vector<uint8_t> down;
+    };
+
     // Decision-plane helpers (sequential only).
     bool place(uint32_t vm, size_t start, size_t exclude, bool migration,
                FleetEpoch* ep);
     void bootFleet(FleetResult* out);
     void decideEpoch(int epoch, FleetEpoch* ep);
-    void profileEpoch(int epoch);
-    uint64_t epochDigest(int epoch, const FleetEpoch& ep) const;
+    void takeSnapshot(HostSnapshot* snap) const;
+    // Execution plane: any thread, one shard per call.
+    void profileShard(size_t shard, int epoch, const HostSnapshot& snap);
+    uint64_t epochDigest(int epoch, const FleetEpoch& ep,
+                         const HostSnapshot& snap) const;
 
     FleetConfig cfg_;
     RingFirstFitPlacement ringPlacement_; ///< Default when none supplied.

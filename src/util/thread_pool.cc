@@ -43,12 +43,22 @@ ThreadPool::submit(std::function<void()> task)
         std::lock_guard<std::mutex> lock(workers_[idx]->mutex);
         workers_[idx]->tasks.push_back(std::move(task));
     }
-    size_t depth = pending_.fetch_add(1, std::memory_order_release) + 1;
+    size_t depth = pending_.fetch_add(1) + 1;
     auto& metrics = obs::MetricsRegistry::global();
     metrics.add(obs::MetricId::kPoolSubmits);
     metrics.gaugeMax(obs::MetricId::kPoolQueueDepthPeak,
                      static_cast<double>(depth));
-    wakeCv_.notify_one();
+    // A worker registers as a sleeper under wakeMutex_ before it
+    // rechecks pending_, and both sides order their store before their
+    // load (seq_cst), so either that worker sees this task or this
+    // load sees the sleeper. Passing through wakeMutex_ then waits
+    // until the sleeper is inside wait(), where the notify reaches it;
+    // notifying without the lock could land between its recheck and
+    // its wait and be lost. With every worker busy, no wake is sent.
+    if (sleepers_.load() > 0) {
+        { std::lock_guard<std::mutex> lock(wakeMutex_); }
+        wakeCv_.notify_one();
+    }
 }
 
 bool
@@ -110,10 +120,12 @@ ThreadPool::workerLoop(size_t idx)
             continue;
         }
         std::unique_lock<std::mutex> lock(wakeMutex_);
+        sleepers_.fetch_add(1);
         wakeCv_.wait(lock, [this] {
             return stop_.load(std::memory_order_acquire) ||
-                   pending_.load(std::memory_order_acquire) > 0;
+                   pending_.load() > 0;
         });
+        sleepers_.fetch_sub(1);
         if (stop_.load(std::memory_order_acquire) &&
             pending_.load(std::memory_order_acquire) == 0) {
             return;

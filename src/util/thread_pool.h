@@ -133,6 +133,7 @@ class ThreadPool
     std::mutex wakeMutex_;
     std::condition_variable wakeCv_;
     std::atomic<size_t> pending_{0}; ///< Tasks enqueued but not started.
+    std::atomic<size_t> sleepers_{0}; ///< Workers waiting on wakeCv_.
     std::atomic<size_t> nextQueue_{0};
     std::atomic<bool> stop_{false};
 };

@@ -17,6 +17,11 @@
  *    mostly draw past the prepared churn prefix keeps its recorded
  *    digest, and more concurrent runs than pool workers, nested in a
  *    parallelFor, neither hang nor change a digest
+ *  - pipelined epochs: the per-epoch roll-up, read from the snapshot
+ *    the execution plane works on, keeps its recorded rows and
+ *    telemetry export, and a decision that throws while the previous
+ *    epoch's execution plane is in flight joins it before run()
+ *    rethrows
  *
  * The 100k-host scale lives in test_fleet_sweep (SLOW) and
  * bench/perf_fleet_scaling; nothing here should take more than a few
@@ -24,11 +29,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "obs/timeseries.h"
 #include "sim/shard.h"
+#include "util/digest.h"
 #include "util/seeds.h"
 #include "util/thread_pool.h"
 
@@ -282,6 +292,74 @@ struct MostFreePlacement : sim::FleetPlacementPolicy
 
 } // namespace
 
+TEST(FleetRollup, EpochRowsAndTelemetryKeepRecordedValues)
+{
+    // The per-epoch roll-up (epoch digest, meanUtil, anomalyRate and
+    // the fleet telemetry) reads a snapshot of the decision state taken
+    // before the next epoch is decided. A packed, faulted fleet flags
+    // anomalous hosts and fires every churn kind. All values here were
+    // recorded while the roll-up still read the live hosts after each
+    // epoch's profile barrier.
+    FleetConfig cfg = smallFleet(6061);
+    cfg.hosts = 61;
+    cfg.tenants = 700;
+    cfg.epochs = 5;
+    cfg.hostFaultProb = 0.08;
+    cfg.validateEpochs = true;
+    struct Row
+    {
+        double meanUtil;
+        double anomalyRate;
+        uint64_t digest;
+    };
+    const Row rows[] = {
+        {50.409836065573771, 0.14754098360655737, 0x746f35c27e94078aull},
+        {47.33606557377049, 0.16393442622950818, 0xfe69b05aa3abbd0eull},
+        {45.594262295081968, 0.16393442622950818, 0xff7b34aae58c8fcfull},
+        {44.057377049180324, 0.14754098360655737, 0x078b55460a9a37caull},
+        {43.391393442622949, 0.13114754098360656, 0xf59f91d9bf35a5fcull},
+    };
+    auto& telemetry = obs::TimeSeriesRecorder::global();
+    obs::TelemetryConfig tcfg;
+    tcfg.windowSec = cfg.epochSec;
+    // The shard_util series is labeled by shard, so its export depends
+    // on the shard count (and on nothing else).
+    for (auto [shards, exported] : {std::pair{1u, 0xfbd6690241fcbbe2ull},
+                                    std::pair{5u, 0x37047c0d17f41c27ull}}) {
+        for (unsigned threads : {1u, 8u}) {
+            SCOPED_TRACE("shards " + std::to_string(shards) + " threads " +
+                         std::to_string(threads));
+            telemetry.configure(tcfg);
+            telemetry.setEnabled(true);
+            FleetResult r = runWith(cfg, shards, threads);
+            telemetry.setEnabled(false);
+            ASSERT_TRUE(r.consistent) << r.inconsistency;
+            EXPECT_EQ(r.digest, 0x70c3d0d857998d15ull);
+            ASSERT_EQ(r.epochs.size(), std::size(rows));
+            for (size_t e = 0; e < r.epochs.size(); ++e) {
+                EXPECT_EQ(r.epochs[e].meanUtil, rows[e].meanUtil)
+                    << "epoch " << e;
+                EXPECT_EQ(r.epochs[e].anomalyRate, rows[e].anomalyRate)
+                    << "epoch " << e;
+                EXPECT_EQ(r.epochs[e].digest, rows[e].digest)
+                    << "epoch " << e;
+            }
+            obs::TelemetrySnapshot snap = telemetry.snapshot();
+            size_t shardPoints = 0;
+            for (const obs::SeriesPoint& p : snap.points)
+                if (p.id == obs::SeriesId::kFleetShardUtil)
+                    ++shardPoints;
+            EXPECT_EQ(shardPoints, shards * r.epochs.size());
+            std::ostringstream os;
+            obs::writeTelemetryJsonl(os, snap);
+            util::Fnv1a d;
+            d.str(os.str());
+            EXPECT_EQ(d.h, exported);
+        }
+    }
+    telemetry.configure(obs::TelemetryConfig{});
+}
+
 TEST(FleetPlacement, CustomPolicyChangesOutcomeButStaysShardInvariant)
 {
     // A different policy must actually steer placement (different
@@ -298,6 +376,75 @@ TEST(FleetPlacement, CustomPolicyChangesOutcomeButStaysShardInvariant)
         c2.placement = &mostFreeB;
         FleetResult r = runWith(c2, shards, 8);
         EXPECT_EQ(r.digest, base.digest) << "shards " << shards;
+    }
+}
+
+namespace {
+
+/** Ring first-fit that counts its calls and throws on call `throwAt`. */
+struct ThrowingPlacement : sim::FleetPlacementPolicy
+{
+    explicit ThrowingPlacement(uint64_t throwAt) : throwAt(throwAt) {}
+
+    size_t
+    pickHost(const FleetCluster& fleet, uint8_t vcpus, size_t start,
+             size_t exclude) override
+    {
+        if (calls++ == throwAt)
+            throw std::runtime_error("placement failed");
+        return ring.pickHost(fleet, vcpus, start, exclude);
+    }
+    const char* name() const override { return "throwing"; }
+
+    uint64_t throwAt;
+    uint64_t calls = 0;
+    sim::RingFirstFitPlacement ring;
+};
+
+} // namespace
+
+TEST(FleetPipeline, DecisionExceptionJoinsTheInFlightEpoch)
+{
+    // A placement policy that throws while epoch e >= 1 is decided
+    // unwinds run() while epoch e - 1's execution plane is in flight on
+    // the pool. run() must finish that epoch's shards before it
+    // rethrows, so no task touches the cluster once it is destroyed
+    // (ASan and TSan report it if one does), and the pool must stay
+    // usable.
+    FleetConfig cfg = smallFleet(77);
+    cfg.hosts = 2000;
+    cfg.tenants = 6000;
+    cfg.shards = 8;
+    // Placement calls through the end of epoch e, from dry runs of
+    // e + 1 epochs: no decision depends on the epoch count.
+    std::vector<uint64_t> callsThrough;
+    for (int epochs = 1; epochs <= 3; ++epochs) {
+        ThrowingPlacement counter(UINT64_MAX);
+        FleetConfig c = cfg;
+        c.epochs = epochs;
+        c.placement = &counter;
+        FleetCluster(c).run();
+        callsThrough.push_back(counter.calls);
+    }
+    cfg.epochs = 3;
+    const uint64_t clean = runWith(cfg, cfg.shards, 1).digest;
+    for (unsigned threads : {1u, 4u}) {
+        for (int e : {1, 2}) {
+            ASSERT_GT(callsThrough[e], callsThrough[e - 1] + 1);
+            ThrowingPlacement thrower(
+                (callsThrough[e - 1] + callsThrough[e]) / 2);
+            FleetConfig c = cfg;
+            c.placement = &thrower;
+            util::ThreadPool::setGlobalThreads(threads);
+            auto fleet = std::make_unique<FleetCluster>(c);
+            EXPECT_THROW(fleet->run(), std::runtime_error)
+                << "epoch " << e << " threads " << threads;
+            EXPECT_EQ(thrower.calls, thrower.throwAt + 1);
+            fleet.reset();
+            EXPECT_EQ(FleetCluster(cfg).run().digest, clean)
+                << "epoch " << e << " threads " << threads;
+            util::ThreadPool::setGlobalThreads(0);
+        }
     }
 }
 

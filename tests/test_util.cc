@@ -750,6 +750,28 @@ TEST(ThreadPool, SubmitRunsDetachedTasks)
     EXPECT_EQ(32, ran.load());
 }
 
+TEST(ThreadPool, BackToBackSubmitsWakeAnIdleWorker)
+{
+    // Each submit must wake the one worker, which is forever about to
+    // go back to sleep: the submitter spins on the task without
+    // helping, so a lost wake leaves the task queued until the pool
+    // shuts down. The flags are shared so a stranded task that runs at
+    // shutdown writes to live memory.
+    ThreadPool pool(1);
+    constexpr int kIterations = 20000;
+    for (int i = 0; i < kIterations; ++i) {
+        auto ran = std::make_shared<std::atomic<bool>>(false);
+        pool.submit([ran] { ran->store(true, std::memory_order_release); });
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(1);
+        while (!ran->load(std::memory_order_acquire)) {
+            ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+                << "task of iteration " << i << " not started after 1 s";
+            std::this_thread::yield();
+        }
+    }
+}
+
 TEST(Rng, CounterStreamMatchesRegardlessOfDerivationOrder)
 {
     // Derive the same stream key from different threads in different
