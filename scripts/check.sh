@@ -68,10 +68,11 @@
 # without AVX2 the backend comparisons skip.
 #
 # The --tsan-fleet stage is a narrow ThreadSanitizer gate for the
-# cross-thread stream handoff of the fleet decision planes: a TSan
-# build of the util and fleet test binaries, then the ThreadPool,
-# Rng/Mt19937_64 and Fleet suites (the 100k-host FleetSweep suite stays
-# with the whole-suite --tsan-only run).
+# cross-thread stream handoff of the fleet decision planes and the
+# serve execution plane: a TSan build of the util, fleet and serve test
+# binaries, then the ThreadPool, Rng/Mt19937_64, Fleet and ServeEngine
+# suites (the 100k-host FleetSweep suite stays with the whole-suite
+# --tsan-only run).
 #
 # Usage: scripts/check.sh [--plain-only|--tsan-only|--tsan-fleet|--asan-only|--obs|--fault|--serve|--scenario [--update]|--telemetry|--fleet [--update]|--armsrace [--update]|--simd|--bench-only]
 set -euo pipefail
@@ -101,11 +102,13 @@ if [[ "${mode}" == "--tsan-only" || "${mode}" == "all" ]]; then
 fi
 
 if [[ "${mode}" == "--tsan-fleet" ]]; then
-    echo "== ThreadSanitizer gate: thread pool, RNG and fleet suites =="
+    echo "== ThreadSanitizer gate: thread pool, RNG, fleet and serve suites =="
     cmake -B build-tsan -S . -DBOLT_SANITIZE=thread
-    cmake --build build-tsan -j "$(nproc)" --target test_util test_fleet
+    cmake --build build-tsan -j "$(nproc)" \
+        --target test_util test_fleet test_serve
     ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-        --no-tests=error -R '^(ThreadPool|Rng|Mt19937_64|Fleet[A-Za-z]*)\.' \
+        --no-tests=error \
+        -R '^(ThreadPool|Rng|Mt19937_64|Fleet[A-Za-z]*|ServeEngine[A-Za-z]*)\.' \
         -E '^FleetSweep\.'
     echo "TSan fleet gate passed."
 fi

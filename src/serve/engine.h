@@ -119,19 +119,20 @@ struct ServeResult
  *    draw is a counter-based stream keyed by request id, so the entire
  *    schedule — which requests were admitted, how batches formed, what
  *    was shed — is a pure function of (config, seed).
- *  - **Execution plane (wall time, parallel).** The batches the
- *    decision plane formed are pushed through a bounded MPMC
- *    `BoundedQueue` and drained by thread-pool workers (the submitting
- *    thread helps), each batch running its queries against the shared
- *    recommender via the per-worker `QueryScratch` path and folding
- *    results into its requests' private outcome slots. Execution order
- *    is unspecified; outputs are slot-addressed, so results stay
+ *  - **Execution plane (wall time, parallel).** Once the decision
+ *    plane has formed every batch, `util::parallelFor` runs them on
+ *    the thread pool, one batch per index (the calling thread helps),
+ *    each batch running its queries against the shared recommender
+ *    via the per-worker `QueryScratch` path and folding results into
+ *    its requests' private outcome slots. Execution order is
+ *    unspecified; outputs are slot-addressed, so results stay
  *    bit-identical at any thread count while wall-clock metrics
  *    (Wall-class) reflect real parallel throughput.
  *
- * Thread-safety: run() may be called from any thread but not
- * concurrently on the same engine. The referenced recommender must
- * outlive the engine.
+ * Thread-safety: run() may be called from any thread, including from
+ * inside a pool task, but not concurrently on the same engine. A
+ * recommender exception reaches the caller of run(). The referenced
+ * recommender must outlive the engine.
  */
 class ServeEngine
 {

@@ -68,12 +68,11 @@ forEachStream(size_t begin, size_t end, Want want, Derive derive, Body body)
 }
 
 /// Items per chunk of a prepared plane: the decision thread draws from
-/// chunk c while pool tasks prepare chunk c + 1. Two churn chunks take
+/// chunk c while a pool job prepares chunk c + 1. Two churn chunks take
 /// 400 KB; smaller chunks cost more task submits per item.
 constexpr size_t kChunkItems = 1024;
-/// Items one claim prepares: whole lockstep priming blocks.
+/// Items one job item prepares: whole lockstep priming blocks.
 constexpr size_t kBlockItems = 64;
-constexpr size_t kBlocksPerChunk = kChunkItems / kBlockItems;
 
 /// Engine words prepared per boot stream: a boot tenant draws its size
 /// and its start host, one word each.
@@ -84,163 +83,6 @@ constexpr size_t kBootPrefix = 2;
 constexpr size_t kChurnPrefix = 24;
 
 constexpr auto kEveryItem = [](size_t) { return true; };
-
-/**
- * The opening words of the streams derive(i), i in [0, n), prepared a
- * chunk at a time into two alternating buffer slots of (seed, words)
- * per item. Blocks of a chunk are claimed in order, each by one
- * thread; a block filled by fillNext() is readable once ready(). The
- * decision thread and the pool tasks share one instance, and the last
- * of them to finish frees it.
- */
-template <typename Derive>
-class PrefixChunks
-{
-  public:
-    PrefixChunks(size_t n, size_t words, Derive derive)
-        : n_(n), words_(words), chunks_((n + kChunkItems - 1) / kChunkItems),
-          derive_(std::move(derive)),
-          buf_(std::make_unique_for_overwrite<uint64_t[]>(
-              std::min(n, 2 * kChunkItems) * (words + 1))),
-          claimed_(chunks_), ready_(chunks_ * kBlocksPerChunk)
-    {
-    }
-
-    // Pool tasks hold it by address.
-    PrefixChunks(const PrefixChunks&) = delete;
-    PrefixChunks& operator=(const PrefixChunks&) = delete;
-
-    size_t chunks() const { return chunks_; }
-
-    size_t
-    blocks(size_t c) const
-    {
-        size_t items = std::min(n_ - c * kChunkItems, kChunkItems);
-        return (items + kBlockItems - 1) / kBlockItems;
-    }
-
-    /** Items [begin, end) of block b of chunk c. */
-    std::pair<size_t, size_t>
-    range(size_t c, size_t b) const
-    {
-        size_t begin = c * kChunkItems + b * kBlockItems;
-        return {begin, std::min(begin + kBlockItems, n_)};
-    }
-
-    /**
-     * Claim block b of chunk c if it is the next unclaimed one. Blocks
-     * before b must be claimed already.
-     */
-    bool
-    claim(size_t c, size_t b)
-    {
-        return claimed_[c].compare_exchange_strong(b, b + 1);
-    }
-
-    bool
-    ready(size_t c, size_t b) const
-    {
-        return ready_[c * kBlocksPerChunk + b].load(
-            std::memory_order_acquire);
-    }
-
-    /**
-     * Claim the next unclaimed block of chunk c and fill it. False when
-     * every block of the chunk is claimed already.
-     */
-    bool
-    fillNext(size_t c)
-    {
-        size_t b = claimed_[c].fetch_add(1);
-        if (b >= blocks(c))
-            return false;
-        auto [begin, end] = range(c, b);
-        forEachStream(begin, end, kEveryItem, derive_,
-                      [this](size_t i, util::Rng& rng) {
-                          uint64_t* w = slot(i);
-                          w[0] = rng.seed();
-                          rng.twistPrefix(std::span(w + 1, words_));
-                      });
-        ready_[c * kBlocksPerChunk + b].store(true,
-                                              std::memory_order_release);
-        return true;
-    }
-
-    /** The stream of item i, from its prepared words. */
-    util::Rng
-    stream(size_t i)
-    {
-        const uint64_t* w = slot(i);
-        return util::Rng::fromPrefix(w[0], std::span(w + 1, words_));
-    }
-
-  private:
-    uint64_t*
-    slot(size_t i)
-    {
-        size_t row = (i / kChunkItems) % 2 * kChunkItems + i % kChunkItems;
-        return buf_.get() + row * (words_ + 1);
-    }
-
-    const size_t n_;
-    const size_t words_;
-    const size_t chunks_;
-    const Derive derive_;
-    std::unique_ptr<uint64_t[]> buf_; ///< (seed, words) per item.
-    std::vector<std::atomic<size_t>> claimed_; ///< Next block, per chunk.
-    std::vector<std::atomic<bool>> ready_;     ///< Per block.
-};
-
-/**
- * Call body(i, rng) for each item i in [0, n), in item order on the
- * calling thread, with rng == derive(i). Pool tasks prepare the first
- * `words` engine words of each stream one chunk ahead, so the caller
- * mostly rebuilds streams from words instead of seeding and twisting.
- *
- * Never waits on a task that has not started: a block nobody has
- * claimed when the caller reaches it, the caller claims and derives
- * in place, and it only waits for blocks a running task is filling.
- * Tasks that start after the call returned find their chunk claimed
- * and exit. derive must be safe to call from any thread and is copied
- * into the shared state, so it must capture by value.
- */
-template <typename Derive, typename Body>
-void
-forEachPrepared(size_t n, size_t words, Derive derive, Body body)
-{
-    auto chunks = std::make_shared<PrefixChunks<Derive>>(n, words, derive);
-    util::ThreadPool& pool = util::ThreadPool::global();
-    // Like parallelFor, a one-thread pool runs nothing on the side.
-    const size_t workers = pool.threadCount() > 1 ? pool.threadCount() : 0;
-    auto launch = [&](size_t c) {
-        if (c >= chunks->chunks())
-            return;
-        for (size_t t = std::min(workers, chunks->blocks(c)); t > 0; --t)
-            pool.submit([chunks, c] {
-                while (chunks->fillNext(c)) {
-                }
-            });
-    };
-    launch(0);
-    for (size_t c = 0; c < chunks->chunks(); ++c) {
-        // Chunk c + 1 takes the buffer slot of chunk c - 1, which the
-        // loop below has finished reading.
-        launch(c + 1);
-        for (size_t b = 0; b < chunks->blocks(c); ++b) {
-            auto [begin, end] = chunks->range(c, b);
-            if (chunks->claim(c, b)) {
-                forEachStream(begin, end, kEveryItem, derive, body);
-                continue;
-            }
-            while (!chunks->ready(c, b))
-                std::this_thread::yield();
-            for (size_t i = begin; i < end; ++i) {
-                util::Rng rng = chunks->stream(i);
-                body(i, rng);
-            }
-        }
-    }
-}
 
 /**
  * Runs item(i) for every i in [0, n), n >= 1, then done() once, on
@@ -337,6 +179,71 @@ class BackgroundJob
 
     std::shared_ptr<State> state_;
 };
+
+/**
+ * Call body(i, rng) for each item i in [0, n), in item order on the
+ * calling thread, with rng == derive(i). A BackgroundJob per chunk
+ * prepares the first `words` engine words of each stream of the next
+ * chunk on the pool, one 64-item block per job item, so the caller
+ * mostly rebuilds streams from words instead of seeding and twisting.
+ *
+ * At chunk c the caller joins chunk c's job, which runs every block
+ * no task has started, so it never waits on a task that has not
+ * started. It then launches chunk c + 1 into the buffer slot of chunk
+ * c - 1, which it has finished reading. The buffer is declared before
+ * the jobs, whose destructors join, so no task writes to it once it is
+ * gone, even when body throws. derive must be safe to call from any
+ * thread. A one-thread pool would run every block in the join, so it
+ * derives in place instead.
+ */
+template <typename Derive, typename Body>
+void
+forEachPrepared(size_t n, size_t words, Derive derive, Body body)
+{
+    if (util::ThreadPool::global().threadCount() <= 1) {
+        forEachStream(0, n, kEveryItem, derive, body);
+        return;
+    }
+    // (seed, words) per item, in two alternating chunk slots.
+    auto buf = std::make_unique_for_overwrite<uint64_t[]>(
+        std::min(n, 2 * kChunkItems) * (words + 1));
+    auto row = [&](size_t i) {
+        size_t slot = (i / kChunkItems) % 2 * kChunkItems + i % kChunkItems;
+        return buf.get() + slot * (words + 1);
+    };
+    auto prepare = [&](size_t c) {
+        size_t begin = c * kChunkItems;
+        size_t end = std::min(n, begin + kChunkItems);
+        if (begin >= end)
+            return std::unique_ptr<BackgroundJob>();
+        return std::make_unique<BackgroundJob>(
+            (end - begin + kBlockItems - 1) / kBlockItems,
+            [&, begin, end](size_t b) {
+                size_t lo = begin + b * kBlockItems;
+                forEachStream(lo, std::min(end, lo + kBlockItems),
+                              kEveryItem, derive,
+                              [&](size_t i, util::Rng& rng) {
+                                  uint64_t* w = row(i);
+                                  w[0] = rng.seed();
+                                  rng.twistPrefix(std::span(w + 1, words));
+                              });
+            },
+            [] {});
+    };
+    auto job = prepare(0);
+    for (size_t c = 0; job; ++c) {
+        job->join();
+        auto next = prepare(c + 1);
+        for (size_t i = c * kChunkItems;
+             i < std::min(n, (c + 1) * kChunkItems); ++i) {
+            const uint64_t* w = row(i);
+            util::Rng rng =
+                util::Rng::fromPrefix(w[0], std::span(w + 1, words));
+            body(i, rng);
+        }
+        job = std::move(next);
+    }
+}
 
 } // namespace
 

@@ -160,12 +160,13 @@ struct FleetResult
  *    placement is decision-plane work too, one stream per tenant.
  *    The decisions stay on one thread, in item order; only the
  *    preparation of their streams runs a chunk ahead on the pool.
- *    Pool tasks derive, prime and twist the first engine words of the
- *    next chunk's streams, and the decision thread rebuilds each stream
- *    from its seed and those words (Rng::fromPrefix), so it draws
- *    exactly what the stream itself would. Blocks no task has
- *    started yet, and every block on a one-thread pool, the decision
- *    thread derives in place.
+ *    One BackgroundJob per chunk derives, primes and twists the first
+ *    engine words of the next chunk's streams, one 64-item block per
+ *    job item, and the decision thread rebuilds each stream from its
+ *    seed and those words (Rng::fromPrefix), so it draws exactly what
+ *    the stream itself would. Joining a chunk's job runs the blocks no
+ *    task has started on the decision thread; a one-thread pool
+ *    derives every stream in place.
  *  - The EXECUTION plane profiles every host, one shard at a time on
  *    the pool, each host on its own
  *    Rng::stream(seed, {kFleetProfile, host, epoch}) writing only its

@@ -410,15 +410,19 @@ TEST(FleetPipeline, DecisionExceptionJoinsTheInFlightEpoch)
     // the pool. run() must finish that epoch's shards before it
     // rethrows, so no task touches the cluster once it is destroyed
     // (ASan and TSan report it if one does), and the pool must stay
-    // usable.
+    // usable. One that throws mid-boot unwinds while the next chunk's
+    // stream preparation is in flight: 6000 tenants make 6 chunks of
+    // 1024, and the throw lands in chunk 2, so no prep task may touch
+    // the stream buffer once it is freed.
     FleetConfig cfg = smallFleet(77);
     cfg.hosts = 2000;
     cfg.tenants = 6000;
     cfg.shards = 8;
-    // Placement calls through the end of epoch e, from dry runs of
-    // e + 1 epochs: no decision depends on the epoch count.
+    // Placement calls through boot (callsThrough[0]) and through the
+    // end of epoch e (callsThrough[e + 1]), from dry runs of 0 to 3
+    // epochs: no decision depends on the epoch count.
     std::vector<uint64_t> callsThrough;
-    for (int epochs = 1; epochs <= 3; ++epochs) {
+    for (int epochs = 0; epochs <= 3; ++epochs) {
         ThrowingPlacement counter(UINT64_MAX);
         FleetConfig c = cfg;
         c.epochs = epochs;
@@ -426,23 +430,26 @@ TEST(FleetPipeline, DecisionExceptionJoinsTheInFlightEpoch)
         FleetCluster(c).run();
         callsThrough.push_back(counter.calls);
     }
+    ASSERT_EQ(callsThrough[0], cfg.tenants);
     cfg.epochs = 3;
     const uint64_t clean = runWith(cfg, cfg.shards, 1).digest;
     for (unsigned threads : {1u, 4u}) {
-        for (int e : {1, 2}) {
-            ASSERT_GT(callsThrough[e], callsThrough[e - 1] + 1);
-            ThrowingPlacement thrower(
-                (callsThrough[e - 1] + callsThrough[e]) / 2);
+        // Stage -1 is boot, stage e >= 0 is epoch e.
+        for (int e : {-1, 1, 2}) {
+            const uint64_t from = e < 0 ? 0 : callsThrough[e];
+            const uint64_t to = callsThrough[e + 1];
+            ASSERT_GT(to, from + 1);
+            ThrowingPlacement thrower((from + to) / 2);
             FleetConfig c = cfg;
             c.placement = &thrower;
             util::ThreadPool::setGlobalThreads(threads);
             auto fleet = std::make_unique<FleetCluster>(c);
             EXPECT_THROW(fleet->run(), std::runtime_error)
-                << "epoch " << e << " threads " << threads;
+                << "stage " << e << " threads " << threads;
             EXPECT_EQ(thrower.calls, thrower.throwAt + 1);
             fleet.reset();
             EXPECT_EQ(FleetCluster(cfg).run().digest, clean)
-                << "epoch " << e << " threads " << threads;
+                << "stage " << e << " threads " << threads;
             util::ThreadPool::setGlobalThreads(0);
         }
     }

@@ -1,104 +1,25 @@
-/** Tests for the deterministic query-serving layer (src/serve/):
- *  bounded MPMC queue, load generator, and the two-plane engine
- *  (admission control, micro-batching, SLO shedding, determinism). */
+/** Tests for the deterministic query-serving layer (src/serve/): the
+ *  load generator and the two-plane engine (admission control,
+ *  micro-batching, SLO shedding, determinism, nesting in the pool). */
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <future>
+#include <memory>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "core/recommender.h"
 #include "serve/engine.h"
 #include "serve/loadgen.h"
-#include "serve/queue.h"
 #include "util/thread_pool.h"
 #include "workloads/generators.h"
 
 using namespace bolt;
 
 namespace {
-
-// ------------------------------------------------------------------
-// BoundedQueue
-// ------------------------------------------------------------------
-
-TEST(BoundedQueue, TryPushRejectsWhenFullNeverDrops)
-{
-    serve::BoundedQueue<int> q(2);
-    EXPECT_EQ(q.tryPush(1), serve::Admit::Ok);
-    EXPECT_EQ(q.tryPush(2), serve::Admit::Ok);
-    EXPECT_EQ(q.tryPush(3), serve::Admit::QueueFull);
-    EXPECT_EQ(q.size(), 2u);
-
-    int v = 0;
-    EXPECT_TRUE(q.tryPop(&v));
-    EXPECT_EQ(v, 1); // FIFO
-    EXPECT_EQ(q.tryPush(3), serve::Admit::Ok);
-}
-
-TEST(BoundedQueue, CloseWakesConsumersAndReportsClosed)
-{
-    serve::BoundedQueue<int> q(4);
-    EXPECT_EQ(q.tryPush(7), serve::Admit::Ok);
-    q.close();
-    EXPECT_EQ(q.tryPush(8), serve::Admit::Closed);
-    EXPECT_FALSE(q.push(9));
-
-    int v = 0;
-    EXPECT_TRUE(q.pop(&v)); // drains the remaining item first
-    EXPECT_EQ(v, 7);
-    EXPECT_FALSE(q.pop(&v)); // closed and drained
-}
-
-TEST(BoundedQueue, PopBatchTakesUpToMaxInOrder)
-{
-    serve::BoundedQueue<int> q(8);
-    for (int i = 0; i < 5; ++i)
-        ASSERT_EQ(q.tryPush(i), serve::Admit::Ok);
-
-    std::vector<int> batch;
-    EXPECT_EQ(q.popBatch(&batch, 3), 3u);
-    EXPECT_EQ(batch, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(q.popBatch(&batch, 8), 2u);
-    EXPECT_EQ(batch, (std::vector<int>{3, 4}));
-}
-
-TEST(BoundedQueue, MpmcStressDeliversEveryItemExactlyOnce)
-{
-    constexpr int kProducers = 4;
-    constexpr int kPerProducer = 500;
-    serve::BoundedQueue<int> q(16); // small: forces backpressure
-
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&q, p] {
-            for (int i = 0; i < kPerProducer; ++i)
-                ASSERT_TRUE(q.push(p * kPerProducer + i));
-        });
-    }
-
-    std::mutex seen_mutex;
-    std::set<int> seen;
-    std::vector<std::thread> consumers;
-    for (int c = 0; c < 3; ++c) {
-        consumers.emplace_back([&] {
-            int v;
-            while (q.pop(&v)) {
-                std::lock_guard<std::mutex> lock(seen_mutex);
-                EXPECT_TRUE(seen.insert(v).second) << "duplicate " << v;
-            }
-        });
-    }
-    for (auto& t : producers)
-        t.join();
-    q.close();
-    for (auto& t : consumers)
-        t.join();
-    EXPECT_EQ(seen.size(),
-              static_cast<size_t>(kProducers * kPerProducer));
-}
 
 // ------------------------------------------------------------------
 // LoadGen
@@ -296,6 +217,34 @@ TEST_F(ServeEngineTest, DigestIsIdenticalAtAnyThreadCount)
         EXPECT_EQ(results[0].outcomes[i].batchId,
                   results[2].outcomes[i].batchId);
     }
+}
+
+TEST_F(ServeEngineTest, RunInsidePoolTaskCompletes)
+{
+    // A serve stage may run inside a pool task (a scenario sweep does).
+    // On a one-thread pool that task holds the only worker, so the
+    // execution plane must run its batches on the calling thread
+    // instead of waiting for a worker.
+    const uint64_t expected =
+        serve::ServeEngine(*recommender_, baseConfig()).run().digest();
+    util::ThreadPool::setGlobalThreads(1);
+    auto done = std::make_shared<std::promise<uint64_t>>();
+    std::future<uint64_t> digest = done->get_future();
+    util::ThreadPool::global().submit([done] {
+        serve::ServeResult res =
+            serve::ServeEngine(*recommender_, baseConfig()).run();
+        EXPECT_GE(res.stats.batches, 75u);
+        done->set_value(res.digest());
+    });
+    if (digest.wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+        // The blocked worker can never be joined, so the pool's
+        // destructor would hang: report and leave at once.
+        ADD_FAILURE() << "ServeEngine::run inside a pool task hung";
+        std::_Exit(1);
+    }
+    EXPECT_EQ(digest.get(), expected);
+    util::ThreadPool::setGlobalThreads(0);
 }
 
 TEST_F(ServeEngineTest, BatchesNeverExceedMaxBatchAndAdaptToLoad)
